@@ -212,12 +212,7 @@ fn n_dep_inner(netlist: &Netlist, dist: &[Option<u32>]) -> BigEffort {
 /// s641 numbers imply I ≈ PIs + FFs of the cone, not just immediate
 /// drivers.)
 pub fn n_bf(netlist: &Netlist) -> BigEffort {
-    n_bf_with(&CircuitView::new(netlist))
-}
-
-/// [`n_bf`] against a shared [`CircuitView`].
-pub fn n_bf_with(view: &CircuitView<'_>) -> BigEffort {
-    n_bf_inner(view, &ff_distance_to_output(view.netlist()))
+    n_bf_inner(&CircuitView::new(netlist), &ff_distance_to_output(netlist))
 }
 
 fn n_bf_inner(view: &CircuitView<'_>, dist: &[Option<u32>]) -> BigEffort {
@@ -273,20 +268,13 @@ pub struct SecurityEstimate {
     pub n_bf: BigEffort,
 }
 
-/// Computes all three estimates.
+/// Computes all three estimates, sharing one flip-flop distance map.
 pub fn security_estimate(netlist: &Netlist) -> SecurityEstimate {
-    security_estimate_with(&CircuitView::new(netlist))
-}
-
-/// [`security_estimate`] against a shared [`CircuitView`], computing
-/// the flip-flop distance map once for all three equations.
-pub fn security_estimate_with(view: &CircuitView<'_>) -> SecurityEstimate {
-    let netlist = view.netlist();
     let dist = ff_distance_to_output(netlist);
     SecurityEstimate {
         n_indep: n_indep_inner(netlist, &dist),
         n_dep: n_dep_inner(netlist, &dist),
-        n_bf: n_bf_inner(view, &dist),
+        n_bf: n_bf_inner(&CircuitView::new(netlist), &dist),
     }
 }
 

@@ -11,17 +11,19 @@
 //!   changes, the text changes and every affected cell re-runs; cells
 //!   whose circuits are byte-identical keep hitting.
 //!
-//! Keys are 128-bit [`sttlock_exec::CacheKey`]s (two independent
-//! FNV-1a streams) rendered as hex file names — the keying scheme
+//! Keys are 128-bit [`sttlock_exec::CacheKey`]s — the keying scheme
 //! itself lives in the exec runtime and is shared with serve's response
-//! cache. Only [`RunStatus::Ok`](crate::RunStatus::Ok) records are
-//! stored: failures, panics and timeouts always re-execute, because
-//! they are exactly the cells one is trying to fix.
+//! cache. The records live in one [`KeyedLog`] at
+//! `<cache_dir>/campaign-cache.log`, last write wins. Only
+//! [`RunStatus::Ok`](crate::RunStatus::Ok) records are stored:
+//! failures, panics and timeouts always re-execute, because they are
+//! exactly the cells one is trying to fix.
 
-use std::fs;
 use std::path::PathBuf;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use sttlock_exec::KeyBuilder;
+use sttlock_store::{FsyncPolicy, KeyedLog, TextEntry};
 
 use crate::json::Json;
 use crate::record::RunRecord;
@@ -29,62 +31,51 @@ use crate::record::RunRecord;
 pub use sttlock_exec::CacheKey;
 
 /// Bump when the record layout or keying scheme changes.
-pub const CACHE_VERSION: u32 = 1;
+pub const CACHE_VERSION: u32 = 2;
 
-/// A directory of cached [`RunRecord`]s keyed by content hash.
-#[derive(Debug, Clone)]
+/// One cached record: the key's hex form and the record's JSON.
+type Entry = TextEntry<CACHE_VERSION>;
+
+/// A persistent store of [`RunRecord`]s keyed by content hash. Clones
+/// share one open log.
+#[derive(Clone)]
 pub struct Cache {
-    dir: PathBuf,
+    store: Arc<Mutex<KeyedLog<Entry>>>,
 }
 
 /// Computes the key for one cell from its descriptor and the generated
 /// netlist text.
-///
-/// The raw-chunk feed reproduces the pre-exec byte stream exactly
-/// (`v{CACHE_VERSION}\x1f`, descriptor, `\x1f`, bench text), so every
-/// cache directory written before the exec refactor stays valid.
 pub fn cell_key(descriptor: &str, bench_text: &str) -> CacheKey {
     KeyBuilder::new(CACHE_VERSION)
-        .chunk(descriptor.as_bytes())
-        .chunk(b"\x1f")
-        .chunk(bench_text.as_bytes())
+        .field("cell", &descriptor)
+        .text(bench_text)
         .finish()
 }
 
 impl Cache {
-    /// Opens (creating if needed) a cache directory. Returns `None` if
-    /// the directory cannot be created — the campaign then runs
-    /// uncached rather than failing.
-    pub fn open(dir: PathBuf) -> Option<Cache> {
-        fs::create_dir_all(&dir).ok()?;
-        Some(Cache { dir })
-    }
-
-    fn path(&self, key: CacheKey) -> PathBuf {
-        self.dir.join(format!("{}.json", key.hex()))
-    }
-
-    /// Looks up a raw text entry. Unreadable entries read as misses.
+    /// Opens (creating if needed) the cache log under `dir`. Returns
+    /// `None` if it cannot be opened — the campaign then runs uncached
+    /// rather than failing.
     ///
-    /// This is the reusable face of the cache: the serve layer stores
-    /// whole response bodies under its own descriptors, sharing the
-    /// keying scheme ([`cell_key`]) and directory layout with the
-    /// campaign's record cache.
-    pub fn lookup_text(&self, key: CacheKey) -> Option<String> {
-        fs::read_to_string(self.path(key)).ok()
+    /// Fsync policy is [`FsyncPolicy::Never`]: losing an entry costs a
+    /// recomputation, never correctness.
+    pub fn open(dir: PathBuf) -> Option<Cache> {
+        let opened = KeyedLog::open(dir.join("campaign-cache.log"), FsyncPolicy::Never).ok()?;
+        Some(Cache {
+            store: Arc::new(Mutex::new(opened.store)),
+        })
     }
 
-    /// Stores a raw text entry under `key`. Write failures are
-    /// swallowed: the cache is an accelerator, never a correctness
-    /// dependency.
-    pub fn store_text(&self, key: CacheKey, text: &str) {
-        let _ = fs::write(self.path(key), text);
+    /// The log stays valid across a panic elsewhere: a put appends a
+    /// whole record, then inserts it.
+    fn locked(&self) -> MutexGuard<'_, KeyedLog<Entry>> {
+        self.store.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Looks up a cached record. Corrupt or unreadable entries read as
-    /// misses.
+    /// Looks up a cached record. An entry that does not parse reads as
+    /// a miss.
     pub fn lookup(&self, key: CacheKey) -> Option<RunRecord> {
-        let text = self.lookup_text(key)?;
+        let text = self.locked().get(&key.hex())?.body.clone();
         RunRecord::from_json(&Json::parse(&text).ok()?)
     }
 
@@ -94,7 +85,10 @@ impl Cache {
         if !record.status.is_ok() {
             return;
         }
-        self.store_text(key, &record.to_json().to_string());
+        let _ = self.locked().put(Entry {
+            key: key.hex(),
+            body: record.to_json().to_string(),
+        });
     }
 }
 
@@ -103,12 +97,16 @@ mod tests {
     use super::*;
     use crate::record::RunStatus;
 
-    fn tmp_cache(name: &str) -> Cache {
+    fn tmp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir()
             .join("sttlock-campaign-cache-tests")
             .join(format!("{}-{name}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        Cache::open(dir).unwrap()
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn tmp_cache(name: &str) -> Cache {
+        Cache::open(tmp_dir(name)).unwrap()
     }
 
     fn ok_record() -> RunRecord {
@@ -160,22 +158,19 @@ mod tests {
     }
 
     #[test]
-    fn raw_text_entries_round_trip_and_miss_when_absent() {
-        let cache = tmp_cache("raw");
-        let key = cell_key("serve.harden|v1|independent|7", "INPUT(a)\n");
-        assert_eq!(cache.lookup_text(key), None);
-        cache.store_text(key, "{\"cached\":false}");
-        assert_eq!(cache.lookup_text(key), Some("{\"cached\":false}".into()));
-        // Raw entries and record entries share the namespace on
-        // purpose — distinct descriptors keep them apart.
-        assert_ne!(key, cell_key("other", "INPUT(a)\n"));
-    }
-
-    #[test]
     fn corrupt_entries_read_as_misses() {
-        let cache = tmp_cache("corrupt");
+        let dir = tmp_dir("corrupt");
         let key = cell_key("d", "t");
-        fs::write(cache.path(key), "not json{").unwrap();
-        assert_eq!(cache.lookup(key), None);
+        let mut opened =
+            KeyedLog::open(dir.join("campaign-cache.log"), FsyncPolicy::Never).unwrap();
+        opened
+            .store
+            .put(Entry {
+                key: key.hex(),
+                body: "not json{".to_owned(),
+            })
+            .unwrap();
+        drop(opened);
+        assert_eq!(Cache::open(dir).unwrap().lookup(key), None);
     }
 }

@@ -1,6 +1,6 @@
 //! The campaign resume journal: [`RunRecord`]s wrapped in a
-//! schema-versioned envelope, stored on the framed, checksummed
-//! [`sttlock_store::RecordLog`].
+//! schema-versioned envelope, stored in a last-wins
+//! [`sttlock_store::KeyedLog`] keyed by cell identity ([`journal_key`]).
 //!
 //! Each payload is JSON — `{"schema":N,"record":{...}}` — inside the
 //! store's CRC-checked frame, so a crash mid-append costs exactly the
@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 
-use sttlock_store::{FsyncPolicy, OpenedLog, Record, RecordLog, RecoveryReport};
+use sttlock_store::{FsyncPolicy, Keyed, KeyedLog, OpenedKeyed, Record, RecoveryReport};
 
 use crate::json::Json;
 use crate::record::RunRecord;
@@ -61,9 +61,23 @@ impl Record for JournalEntry {
     }
 }
 
+impl Keyed for JournalEntry {
+    fn key(&self) -> String {
+        let r = &self.record;
+        journal_key(
+            &r.circuit,
+            &r.algorithm,
+            r.seed,
+            &r.attack,
+            &r.config,
+            &r.fault,
+        )
+    }
+}
+
 /// An open journal positioned for appends.
 pub struct Journal {
-    log: RecordLog<JournalEntry>,
+    store: KeyedLog<JournalEntry>,
 }
 
 /// The result of opening a journal: the appendable journal, the
@@ -71,8 +85,10 @@ pub struct Journal {
 pub struct OpenedJournal {
     /// The journal, ready for [`Journal::append`].
     pub journal: Journal,
-    /// Recovered entries, in append order.
-    pub entries: Vec<JournalEntry>,
+    /// The last entry per cell identity ([`journal_key`]) when the
+    /// journal was opened — a resumed campaign appends fresh results
+    /// after stale ones, so re-resuming sees the newest outcome.
+    pub entries: HashMap<String, JournalEntry>,
     /// The store's recovery report (tail heals, undecodable counts).
     pub recovery: RecoveryReport,
     /// Whether a legacy bare-JSONL journal was migrated in place.
@@ -88,14 +104,14 @@ impl Journal {
     /// moves on.
     pub fn open(path: &Path) -> io::Result<OpenedJournal> {
         let migrated_legacy = migrate_legacy(path)?;
-        let OpenedLog {
-            log,
-            records,
+        let OpenedKeyed {
+            store,
+            entries,
             recovery,
-        } = RecordLog::open(path, FsyncPolicy::Always)?;
+        } = KeyedLog::open(path, FsyncPolicy::Always)?;
         Ok(OpenedJournal {
-            journal: Journal { log },
-            entries: records,
+            journal: Journal { store },
+            entries,
             recovery,
             migrated_legacy,
         })
@@ -103,7 +119,7 @@ impl Journal {
 
     /// Appends one record under the current schema and fsyncs.
     pub fn append(&mut self, record: &RunRecord) -> io::Result<()> {
-        self.log.append(&JournalEntry {
+        self.store.put(JournalEntry {
             schema: JOURNAL_SCHEMA_VERSION,
             record: record.clone(),
         })
@@ -126,24 +142,12 @@ pub fn journal_key(
     format!("{circuit}|{algorithm}|{seed}|{attack}|{config}|{fault}")
 }
 
-/// Collapses journal entries to the *last* entry per cell identity —
-/// a resumed campaign appends fresh results after the stale ones, so
-/// re-resuming from the same journal sees the newest outcome.
-pub fn replay_map(entries: Vec<JournalEntry>) -> HashMap<String, JournalEntry> {
-    let mut out = HashMap::new();
-    for entry in entries {
-        let r = &entry.record;
-        let key = journal_key(
-            &r.circuit,
-            &r.algorithm,
-            r.seed,
-            &r.attack,
-            &r.config,
-            &r.fault,
-        );
-        out.insert(key, entry);
-    }
-    out
+/// Whether a journaled record may replay on `--resume`: recorded
+/// under this build's schema, `ok`, and carrying the flow metrics every
+/// consumer of ok rows reads. The single-node runner and the cluster
+/// coordinator both gate replay on this.
+pub fn replayable(schema: u32, record: &RunRecord) -> bool {
+    schema == JOURNAL_SCHEMA_VERSION && record.status.is_ok() && record.flow.is_some()
 }
 
 /// Detects and migrates a pre-store bare-JSONL journal: every
@@ -207,6 +211,14 @@ mod tests {
         RunRecord::failure(circuit, "independent", 3, "none", status)
     }
 
+    fn entry<'a>(opened: &'a OpenedJournal, circuit: &str) -> &'a JournalEntry {
+        opened
+            .entries
+            .values()
+            .find(|e| e.record.circuit == circuit)
+            .unwrap()
+    }
+
     #[test]
     fn append_and_reopen_round_trips_entries() {
         let path = scratch("roundtrip");
@@ -223,10 +235,10 @@ mod tests {
         assert_eq!(opened.entries.len(), 2);
         assert!(opened
             .entries
-            .iter()
+            .values()
             .all(|e| e.schema == JOURNAL_SCHEMA_VERSION));
-        assert_eq!(opened.entries[0].record.circuit, "a");
-        assert_eq!(opened.entries[1].record.status, RunStatus::TimedOut);
+        assert_eq!(entry(&opened, "a").record.status, RunStatus::Ok);
+        assert_eq!(entry(&opened, "b").record.status, RunStatus::TimedOut);
         assert!(opened.recovery.is_clean());
         assert!(!opened.migrated_legacy);
     }
@@ -245,7 +257,7 @@ mod tests {
         assert_eq!(opened.entries.len(), 2);
         assert!(opened
             .entries
-            .iter()
+            .values()
             .all(|e| e.schema == LEGACY_SCHEMA_VERSION));
         drop(opened);
 
@@ -256,19 +268,22 @@ mod tests {
     }
 
     #[test]
-    fn replay_map_keeps_the_last_entry_per_cell() {
-        let early = JournalEntry {
-            schema: JOURNAL_SCHEMA_VERSION,
-            record: record("same", RunStatus::TimedOut),
-        };
-        let late = JournalEntry {
-            schema: JOURNAL_SCHEMA_VERSION,
-            record: record("same", RunStatus::Ok),
-        };
-        let map = replay_map(vec![early, late.clone()]);
-        assert_eq!(map.len(), 1);
-        assert_eq!(map.values().next().unwrap().record.status, RunStatus::Ok);
-        let _ = late;
+    fn the_last_entry_per_cell_wins_at_reopen() {
+        let path = scratch("last-wins");
+        {
+            let mut opened = Journal::open(&path).unwrap();
+            opened
+                .journal
+                .append(&record("same", RunStatus::TimedOut))
+                .unwrap();
+            opened
+                .journal
+                .append(&record("same", RunStatus::Ok))
+                .unwrap();
+        }
+        let opened = Journal::open(&path).unwrap();
+        assert_eq!(opened.entries.len(), 1);
+        assert_eq!(entry(&opened, "same").record.status, RunStatus::Ok);
     }
 
     #[test]
@@ -294,7 +309,7 @@ mod tests {
 
         let opened = Journal::open(&path).unwrap();
         assert_eq!(opened.entries.len(), 1);
-        assert_eq!(opened.entries[0].record.circuit, "kept");
+        assert_eq!(entry(&opened, "kept").record.status, RunStatus::Ok);
         assert!(opened.recovery.dropped_bytes > 0);
     }
 }

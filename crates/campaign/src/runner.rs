@@ -129,7 +129,10 @@ pub fn execute(spec: &CampaignSpec) -> CampaignResult {
 
     // Open the journal through the store: the framed log heals any
     // torn or corrupt tail (a crash mid-append costs exactly the torn
-    // record) and hands back every intact entry for replay.
+    // record) and hands back the last intact entry per cell. Replay
+    // decides from that map as it was at open: two cells of one grid
+    // can share a journal key, and the first one's append must not
+    // change what the second replays.
     let mut replay: HashMap<String, JournalEntry> = HashMap::new();
     let mut journal_recovery = None;
     let journal: Option<Mutex<Journal>> = match &spec.journal {
@@ -137,7 +140,7 @@ pub fn execute(spec: &CampaignSpec) -> CampaignResult {
             Ok(opened) => {
                 journal_recovery = Some(opened.recovery.clone());
                 if spec.resume {
-                    replay = journal::replay_map(opened.entries);
+                    replay = opened.entries;
                 }
                 Some(Mutex::new(opened.journal))
             }
@@ -185,11 +188,7 @@ pub fn execute(spec: &CampaignSpec) -> CampaignResult {
             queue_us = start.elapsed().as_micros() as u64,
         );
         let record = match replay.get(&cell_journal_key(cell)) {
-            Some(entry)
-                if entry.schema == JOURNAL_SCHEMA_VERSION
-                    && entry.record.status.is_ok()
-                    && entry.record.flow.is_some() =>
-            {
+            Some(entry) if journal::replayable(entry.schema, &entry.record) => {
                 cell_span.record("replayed", true);
                 entry.record.clone()
             }
@@ -217,18 +216,7 @@ pub fn execute(spec: &CampaignSpec) -> CampaignResult {
                              metrics; re-run this cell without --resume"
                                 .to_owned()
                         };
-                        let mut r = RunRecord::failure(
-                            cell.circuit.name(),
-                            &cell.algorithm.to_string(),
-                            cell.seed,
-                            cell.attack.tag(),
-                            RunStatus::Failed(message),
-                        );
-                        r.config = cell.overrides.descriptor();
-                        if !cell.fault.is_noop() {
-                            r.fault = cell.fault.descriptor();
-                        }
-                        r
+                        cell_failure(cell, message)
                     }
                     _ => run_cell_isolated(cell, spec.timeout, cache.as_ref(), &pool),
                 };
@@ -274,48 +262,48 @@ fn finalize_records(cells: &[Cell], slots: Vec<Option<RunRecord>>) -> Vec<RunRec
         .map(|(cell, slot)| {
             slot.unwrap_or_else(|| {
                 sttlock_obs::counter("campaign.lost_records", 1);
-                let mut r = RunRecord::failure(
-                    cell.circuit.name(),
-                    &cell.algorithm.to_string(),
-                    cell.seed,
-                    cell.attack.tag(),
-                    RunStatus::Failed("worker thread died before recording this cell".to_owned()),
-                );
-                r.config = cell.overrides.descriptor();
-                if !cell.fault.is_noop() {
-                    r.fault = cell.fault.descriptor();
-                }
-                r
+                cell_failure(
+                    cell,
+                    "worker thread died before recording this cell".to_owned(),
+                )
             })
         })
         .collect()
 }
 
+/// A `failed` record for `cell` that never ran, carrying the cell's
+/// config and fault descriptors.
+fn cell_failure(cell: &Cell, message: String) -> RunRecord {
+    let mut r = RunRecord::failure(
+        cell.circuit.name(),
+        &cell.algorithm.to_string(),
+        cell.seed,
+        cell.attack.tag(),
+        RunStatus::Failed(message),
+    );
+    r.config = cell.overrides.descriptor();
+    if !cell.fault.is_noop() {
+        r.fault = cell.fault.descriptor();
+    }
+    r
+}
+
 /// An execute-one entry point for external schedulers (the cluster
-/// worker): the same isolation, caching and generation-pool reuse as a
-/// full [`execute`] run, held open across independent dispatches so
-/// repeated cells hit the same reuse paths a local campaign would.
+/// worker): the same isolation and generation-pool reuse as a full
+/// [`execute`] run, held open across independent dispatches so
+/// repeated cells hit the same pool a local campaign would. Cells run
+/// uncached: the scheduler owns replay through its own journal.
+#[derive(Default)]
 pub struct CellExecutor {
-    cache: Option<Cache>,
     pool: GenPool,
 }
 
 impl CellExecutor {
-    /// Opens the executor, warm-loading the persistent result cache
-    /// when a directory is given (`None`, or an unopenable directory,
-    /// disables caching exactly like [`CampaignSpec::cache_dir`]).
-    pub fn new(cache_dir: Option<std::path::PathBuf>) -> CellExecutor {
-        CellExecutor {
-            cache: cache_dir.and_then(Cache::open),
-            pool: Arc::new(Mutex::new(HashMap::new())),
-        }
-    }
-
     /// Runs one cell under the same fault-isolation contract as a grid
     /// run: the result is always a record — panics, hangs and failures
     /// become their structured statuses, never an unwind.
     pub fn run(&self, cell: &Cell, timeout: Duration) -> RunRecord {
-        run_cell_isolated(cell, timeout, self.cache.as_ref(), &self.pool)
+        run_cell_isolated(cell, timeout, None, &self.pool)
     }
 }
 

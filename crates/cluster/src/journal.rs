@@ -12,6 +12,7 @@ use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 
+use sttlock_campaign::journal::replayable;
 use sttlock_campaign::json::Json;
 use sttlock_campaign::{RunRecord, JOURNAL_SCHEMA_VERSION};
 use sttlock_store::{FsyncPolicy, OpenedLog, Record, RecordLog, RecoveryReport};
@@ -127,13 +128,15 @@ impl DispatchJournal {
     }
 }
 
-/// Collapses journal entries to the last replayable completion per
-/// cell: current schema, `ok` status, flow metrics present — the same
-/// gate the single-node `--resume` applies. Anything else (failures,
-/// version-skewed completions, bare dispatches) leaves the cell
-/// incomplete, so the coordinator re-dispatches exactly those.
+/// Collapses journal entries to the last completion per cell and keeps
+/// those that pass the single-node `--resume` gate
+/// ([`replayable`]). Anything else (failures, version-skewed
+/// completions, bare dispatches) leaves the cell incomplete, so the
+/// coordinator re-dispatches exactly those. As in the runner, only an
+/// `ok` completion refused by the gate counts as
+/// `cluster.skewed_replays`.
 pub fn completed_map(entries: &[DispatchEntry]) -> HashMap<String, RunRecord> {
-    let mut out = HashMap::new();
+    let mut last: HashMap<&str, (u32, &RunRecord)> = HashMap::new();
     for entry in entries {
         if let DispatchEntry::Completed {
             key,
@@ -141,12 +144,15 @@ pub fn completed_map(entries: &[DispatchEntry]) -> HashMap<String, RunRecord> {
             record,
         } = entry
         {
-            if *schema == JOURNAL_SCHEMA_VERSION && record.status.is_ok() && record.flow.is_some() {
-                out.insert(key.clone(), record.as_ref().clone());
-            } else {
-                out.remove(key);
-                sttlock_obs::counter("cluster.skewed_replays", 1);
-            }
+            last.insert(key, (*schema, record));
+        }
+    }
+    let mut out = HashMap::new();
+    for (key, (schema, record)) in last {
+        if replayable(schema, record) {
+            out.insert(key.to_owned(), record.clone());
+        } else if record.status.is_ok() {
+            sttlock_obs::counter("cluster.skewed_replays", 1);
         }
     }
     out
@@ -156,6 +162,14 @@ pub fn completed_map(entries: &[DispatchEntry]) -> HashMap<String, RunRecord> {
 mod tests {
     use super::*;
     use sttlock_campaign::RunStatus;
+
+    /// The obs collector is process-global: tests that emit or read
+    /// `cluster.skewed_replays` hold this lock.
+    fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 
     fn scratch(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir()
@@ -212,6 +226,7 @@ mod tests {
 
     #[test]
     fn completed_map_replays_only_clean_current_schema_ok_records() {
+        let _guard = obs_lock();
         let dispatched = DispatchEntry::Dispatched {
             key: "pending".into(),
             worker: "w".into(),
@@ -244,6 +259,7 @@ mod tests {
 
     #[test]
     fn a_later_bad_completion_reopens_the_cell() {
+        let _guard = obs_lock();
         // A cell completed cleanly, then a newer entry for the same key
         // is skewed (e.g. a re-run under a different build): last wins,
         // the cell must re-dispatch rather than replay stale data.
@@ -258,5 +274,27 @@ mod tests {
             record: Box::new(ok_record("k")),
         };
         assert!(completed_map(&[good, bad]).is_empty());
+    }
+
+    #[test]
+    fn a_timed_out_completion_redispatches_without_counting_skew() {
+        let _guard = obs_lock();
+        let timed_out = DispatchEntry::Completed {
+            key: "k".into(),
+            schema: JOURNAL_SCHEMA_VERSION,
+            record: Box::new(RunRecord::failure(
+                "k",
+                "independent",
+                1,
+                "none",
+                RunStatus::TimedOut,
+            )),
+        };
+        let collector = sttlock_obs::MetricsCollector::new();
+        sttlock_obs::install(collector.clone());
+        let map = completed_map(&[timed_out]);
+        sttlock_obs::uninstall();
+        assert!(map.is_empty(), "the timed-out cell must re-dispatch");
+        assert_eq!(collector.counter_value("cluster.skewed_replays"), 0);
     }
 }

@@ -84,7 +84,7 @@ pub struct Worker {
 
 /// Starts the worker server and its registration/heartbeat loop.
 pub fn start_worker(cfg: WorkerConfig) -> io::Result<Worker> {
-    let executor = Arc::new(CellExecutor::new(None));
+    let executor = Arc::new(CellExecutor::default());
     let active = Arc::new(AtomicU64::new(0));
 
     let router: sttlock_serve::Router = {

@@ -471,19 +471,6 @@ pub fn run<R: Rng + ?Sized>(
     run_with_view(&view, lib, algorithm, cfg, rng, &timing)
 }
 
-/// Runs the chosen algorithm against an existing baseline analysis,
-/// avoiding a redundant full pass when the caller has one already.
-pub fn run_with_timing<R: Rng + ?Sized>(
-    netlist: &Netlist,
-    lib: &Library,
-    algorithm: SelectionAlgorithm,
-    cfg: &SelectionConfig,
-    rng: &mut R,
-    timing: &TimingAnalysis,
-) -> Selection {
-    run_with_view(&CircuitView::new(netlist), lib, algorithm, cfg, rng, timing)
-}
-
 /// Runs the chosen algorithm over a shared [`CircuitView`], reusing its
 /// memoized fanout/topo facts across path sampling, the incremental
 /// timing oracle and the USL closure. Callers holding a view (e.g.

@@ -3,7 +3,7 @@
 //! The campaign result cache and serve's response cache share one
 //! keying scheme: two independent FNV-1a streams (distinct offset
 //! bases, one stream rotated per chunk) over a version salt plus the
-//! caller's content, rendered as a 32-hex-digit file name. This module
+//! caller's content, rendered as 32 hex digits. This module
 //! owns the scheme; [`KeyBuilder`] is the typed face that replaces
 //! hand-rolled `format!("…|v1|…")` descriptor strings — each field is
 //! hashed as `name=value` with an explicit `\x1f` separator, so no two
@@ -16,7 +16,7 @@ use std::fmt;
 pub struct CacheKey(u64, u64);
 
 impl CacheKey {
-    /// Hex file-name form of the key (32 digits).
+    /// Hex form of the key (32 digits).
     pub fn hex(&self) -> String {
         format!("{:016x}{:016x}", self.0, self.1)
     }
@@ -31,14 +31,9 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// Incremental builder of a [`CacheKey`].
-///
-/// The raw [`KeyBuilder::chunk`] face feeds bytes verbatim (the
-/// campaign's `cell_key` uses it to keep every pre-existing key byte
-/// stream — and thus every cache directory — valid). The typed
-/// [`KeyBuilder::field`] face is for new key layouts: it frames each
-/// value with its name and a separator so fields cannot bleed into one
-/// another.
+/// Incremental builder of a [`CacheKey`]. [`KeyBuilder::field`] frames
+/// each value with its name and a separator so fields cannot bleed into
+/// one another; [`KeyBuilder::text`] feeds a trailing payload.
 #[derive(Debug, Clone, Copy)]
 pub struct KeyBuilder {
     a: u64,
@@ -58,7 +53,7 @@ impl KeyBuilder {
     }
 
     /// Feeds raw bytes into both streams.
-    pub fn chunk(mut self, bytes: &[u8]) -> KeyBuilder {
+    fn chunk(mut self, bytes: &[u8]) -> KeyBuilder {
         self.a = fnv1a(self.a, bytes);
         self.b = fnv1a(self.b, bytes).rotate_left(17);
         self

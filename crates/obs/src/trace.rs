@@ -271,6 +271,8 @@ fn fmt_us(us: u64) -> String {
 }
 
 /// Minimal JSON string escaping (quotes, backslashes, control chars).
+/// The workspace's JSON codec lives in `campaign`, which depends on
+/// this crate, so the trace exporter keeps its own escaper.
 fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {

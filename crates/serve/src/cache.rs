@@ -1,29 +1,25 @@
-//! Persistent harden response cache on the store's record log.
+//! Persistent harden response cache on the store's keyed log.
 //!
-//! The previous cache borrowed the campaign's file-per-key directory;
-//! this one keeps the whole response cache in a single checksummed
-//! [`RecordLog`] at `<cache_dir>/harden-cache.log`. Every stored
-//! response is appended as a [`CacheEntry`]; on boot the log is
-//! replayed last-wins into an in-memory map, so a restarted server
-//! answers repeat requests from the warm-loaded cache without
-//! re-running the flow. Warm entries that hit report
-//! `store.cache_warm_hits`.
+//! The whole response cache is one last-wins [`KeyedLog`] at
+//! `<cache_dir>/harden-cache.log`. Every stored response is appended as
+//! a [`CacheEntry`]; on boot the log is replayed into the store's live
+//! map, so a restarted server answers repeat requests from the
+//! warm-loaded cache without re-running the flow. Warm entries that hit
+//! report `store.cache_warm_hits`.
 //!
 //! Durability is [`FsyncPolicy::Never`]: losing a cache entry costs a
 //! recomputation, never correctness, so the log rides the OS page
-//! cache. A torn tail from a crash mid-append is healed by the log's
-//! own recovery on the next open. Entries recorded under a different
-//! [`HARDEN_KEY_VERSION`] are skipped at load (the keying scheme
-//! changed under them); when the replay finds dead weight — stale
-//! versions, duplicate keys or a healed tail — the log is compacted
-//! back to the live set.
+//! cache, and [`HardenCache::flush`] fsyncs it on a graceful drain.
+//! Entries recorded under a different [`HARDEN_KEY_VERSION`] do not
+//! decode (the keying scheme changed under them), so the store skips
+//! them and compacts them away at open.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use sttlock_exec::CacheKey;
-use sttlock_store::{FsyncPolicy, Record, RecordLog, RecoveryReport};
+use sttlock_store::{FsyncPolicy, KeyedLog, TextEntry};
 
 /// Version salt for the harden response-cache keying. v1 was the
 /// pre-exec string-descriptor scheme (`serve.harden|v1|…`); v2 keys the
@@ -31,66 +27,16 @@ use sttlock_store::{FsyncPolicy, Record, RecordLog, RecoveryReport};
 /// v1 entries are invisible rather than misparsed.
 pub const HARDEN_KEY_VERSION: u32 = 2;
 
-/// One persisted response: the key version it was recorded under, the
-/// 128-bit cache key as hex, and the cached response body.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CacheEntry {
-    /// [`HARDEN_KEY_VERSION`] at the time of the store; entries with a
-    /// different version are skipped on load.
-    pub key_version: u32,
-    /// The [`CacheKey`] in its 32-hex-digit rendering.
-    pub key_hex: String,
-    /// The cached JSON response body.
-    pub body: String,
-}
+/// One persisted response: the 128-bit cache key as hex and the cached
+/// JSON response body, stamped with [`HARDEN_KEY_VERSION`].
+pub type CacheEntry = TextEntry<HARDEN_KEY_VERSION>;
 
-// Payload layout: [u32 key_version LE][u16 key_len LE][key][body].
-// The frame already carries the total length and CRC, so the body
-// needs no terminator.
-impl Record for CacheEntry {
-    fn encode(&self) -> Vec<u8> {
-        let key = self.key_hex.as_bytes();
-        let mut out = Vec::with_capacity(6 + key.len() + self.body.len());
-        out.extend_from_slice(&self.key_version.to_le_bytes());
-        out.extend_from_slice(&(key.len() as u16).to_le_bytes());
-        out.extend_from_slice(key);
-        out.extend_from_slice(self.body.as_bytes());
-        out
-    }
-
-    fn decode(bytes: &[u8]) -> Option<CacheEntry> {
-        let (header, rest) = (bytes.get(..6)?, &bytes[6..]);
-        let key_version = u32::from_le_bytes(header[..4].try_into().ok()?);
-        let key_len = u16::from_le_bytes(header[4..6].try_into().ok()?) as usize;
-        if rest.len() < key_len {
-            return None;
-        }
-        Some(CacheEntry {
-            key_version,
-            key_hex: String::from_utf8(rest[..key_len].to_vec()).ok()?,
-            body: String::from_utf8(rest[key_len..].to_vec()).ok()?,
-        })
-    }
-}
-
-struct Slot {
-    body: String,
-    /// True for entries replayed from disk at boot; a hit on one is a
-    /// cross-restart hit and counts `store.cache_warm_hits`.
-    warm: bool,
-}
-
-struct Inner {
-    log: RecordLog<CacheEntry>,
-    map: HashMap<String, Slot>,
-}
-
-/// The serve layer's persistent response cache. Lookups and stores go
-/// through the in-memory map; stores also append to the log so the map
-/// survives a restart.
+/// The serve layer's persistent response cache.
 pub struct HardenCache {
-    inner: Mutex<Inner>,
-    recovery: RecoveryReport,
+    store: Mutex<KeyedLog<CacheEntry>>,
+    /// Keys loaded from a previous process life: a hit on one is a
+    /// cross-restart hit and counts `store.cache_warm_hits`.
+    warm: HashSet<String>,
 }
 
 impl HardenCache {
@@ -98,90 +44,45 @@ impl HardenCache {
     /// warm-loads its entries. Returns `None` if the log cannot be
     /// opened — the server then runs uncached rather than failing.
     pub fn open(dir: PathBuf) -> Option<HardenCache> {
-        let path = dir.join("harden-cache.log");
-        let opened = RecordLog::<CacheEntry>::open(&path, FsyncPolicy::Never).ok()?;
-        let entries = opened.records.len();
-        let mut log = opened.log;
-        let mut map: HashMap<String, Slot> = HashMap::new();
-        let mut stale = 0usize;
-        for entry in opened.records {
-            if entry.key_version != HARDEN_KEY_VERSION {
-                stale += 1;
-                continue;
-            }
-            map.insert(
-                entry.key_hex,
-                Slot {
-                    body: entry.body,
-                    warm: true,
-                },
-            );
-        }
-        sttlock_obs::counter("store.cache_warm_loaded", map.len() as u64);
-        if stale > 0 {
-            sttlock_obs::counter("store.cache_stale_entries", stale as u64);
-        }
-        // Replay found dead weight (stale versions, overwritten keys,
-        // undecodable payloads): rewrite the log to the live set so it
-        // stays proportional to the cache, not its history.
-        if map.len() < entries || opened.recovery.undecodable > 0 {
-            let live: Vec<CacheEntry> = map
-                .iter()
-                .map(|(key_hex, slot)| CacheEntry {
-                    key_version: HARDEN_KEY_VERSION,
-                    key_hex: key_hex.clone(),
-                    body: slot.body.clone(),
-                })
-                .collect();
-            let _ = log.compact(&live);
-        }
+        let opened = KeyedLog::open(dir.join("harden-cache.log"), FsyncPolicy::Never).ok()?;
+        sttlock_obs::counter("store.cache_warm_loaded", opened.entries.len() as u64);
         Some(HardenCache {
-            inner: Mutex::new(Inner { log, map }),
-            recovery: opened.recovery,
+            store: Mutex::new(opened.store),
+            warm: opened.entries.into_keys().collect(),
         })
     }
 
-    /// What opening the log recovered (clean for a graceful shutdown).
-    pub fn recovery(&self) -> &RecoveryReport {
-        &self.recovery
+    /// The log stays valid across a panic elsewhere: a put appends a
+    /// whole record, then inserts it.
+    fn locked(&self) -> MutexGuard<'_, KeyedLog<CacheEntry>> {
+        self.store.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Looks up a cached response body. A hit on an entry warm-loaded
     /// from a previous process life reports `store.cache_warm_hits`.
     pub fn lookup_text(&self, key: CacheKey) -> Option<String> {
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let slot = inner.map.get(&key.hex())?;
-        if slot.warm {
+        let hex = key.hex();
+        let body = self.locked().get(&hex)?.body.clone();
+        if self.warm.contains(&hex) {
             sttlock_obs::counter("store.cache_warm_hits", 1);
         }
-        Some(slot.body.clone())
+        Some(body)
     }
 
-    /// Stores a response body under `key`: into the map immediately,
-    /// and appended to the log for the next process life. Append
-    /// failures are swallowed — the cache is an accelerator, never a
-    /// correctness dependency.
+    /// Stores a response body under `key` for this and the next process
+    /// life. Append failures are swallowed — the cache is an
+    /// accelerator, never a correctness dependency.
     pub fn store_text(&self, key: CacheKey, text: &str) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let _ = inner.log.append(&CacheEntry {
-            key_version: HARDEN_KEY_VERSION,
-            key_hex: key.hex(),
+        let _ = self.locked().put(CacheEntry {
+            key: key.hex(),
             body: text.to_owned(),
         });
-        inner.map.insert(
-            key.hex(),
-            Slot {
-                body: text.to_owned(),
-                warm: false,
-            },
-        );
     }
 
     /// Best-effort fsync of the log, called on graceful shutdown so a
     /// clean exit leaves a durable cache even under `FsyncPolicy::Never`.
     pub fn flush(&self) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let _ = inner.log.sync();
+        let _ = self.locked().sync();
     }
 }
 
@@ -205,17 +106,6 @@ mod tests {
     }
 
     #[test]
-    fn entries_round_trip_through_the_record_codec() {
-        let entry = CacheEntry {
-            key_version: HARDEN_KEY_VERSION,
-            key_hex: key(1).hex(),
-            body: "{\"cached\":false}".to_owned(),
-        };
-        assert_eq!(CacheEntry::decode(&entry.encode()), Some(entry));
-        assert_eq!(CacheEntry::decode(&[1, 2, 3]), None); // short header
-    }
-
-    #[test]
     fn stores_survive_a_reopen_as_warm_entries() {
         let dir = tmp_dir("warm");
         {
@@ -226,7 +116,6 @@ mod tests {
             assert_eq!(cache.lookup_text(key(1)).as_deref(), Some("body-1"));
         }
         let cache = HardenCache::open(dir).unwrap();
-        assert!(cache.recovery().is_clean());
         assert_eq!(cache.lookup_text(key(1)).as_deref(), Some("body-1"));
         assert_eq!(cache.lookup_text(key(2)).as_deref(), Some("body-2"));
         assert_eq!(cache.lookup_text(key(3)), None);
@@ -236,19 +125,22 @@ mod tests {
     fn version_skewed_entries_are_invisible_and_compacted_away() {
         let dir = tmp_dir("skew");
         let stale_key = key(7);
+        let path = dir.join("harden-cache.log");
         {
-            let cache = HardenCache::open(dir.clone()).unwrap();
-            let mut inner = cache.inner.lock().unwrap();
-            inner
+            let mut opened =
+                sttlock_store::RecordLog::<TextEntry<{ HARDEN_KEY_VERSION + 1 }>>::open(
+                    &path,
+                    FsyncPolicy::Never,
+                )
+                .unwrap();
+            opened
                 .log
-                .append(&CacheEntry {
-                    key_version: HARDEN_KEY_VERSION + 1,
-                    key_hex: stale_key.hex(),
+                .append(&TextEntry {
+                    key: stale_key.hex(),
                     body: "from-the-future".to_owned(),
                 })
                 .unwrap();
         }
-        let dir2 = dir.clone();
         {
             let cache = HardenCache::open(dir).unwrap();
             assert_eq!(cache.lookup_text(stale_key), None);
@@ -256,51 +148,9 @@ mod tests {
         }
         // The stale entry was compacted out, not just hidden: the
         // reopened log holds only the live record.
-        let (entries, _) =
-            sttlock_store::read_all::<CacheEntry>(&dir2.join("harden-cache.log")).unwrap();
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].body, "live");
-    }
-
-    #[test]
-    fn overwrites_replay_last_wins_and_compact_on_boot() {
-        let dir = tmp_dir("dedup");
-        {
-            let cache = HardenCache::open(dir.clone()).unwrap();
-            cache.store_text(key(5), "old");
-            cache.store_text(key(5), "new");
-        }
-        let path = dir.join("harden-cache.log");
-        let before = std::fs::metadata(&path).unwrap().len();
-        {
-            let cache = HardenCache::open(dir.clone()).unwrap();
-            assert_eq!(cache.lookup_text(key(5)).as_deref(), Some("new"));
-        }
-        assert!(
-            std::fs::metadata(&path).unwrap().len() < before,
-            "boot-time compaction should drop the overwritten entry"
-        );
-        // And the compacted log still replays correctly.
-        let cache = HardenCache::open(dir).unwrap();
-        assert_eq!(cache.lookup_text(key(5)).as_deref(), Some("new"));
-    }
-
-    #[test]
-    fn a_torn_tail_heals_and_the_rest_of_the_cache_survives() {
-        let dir = tmp_dir("torn");
-        {
-            let cache = HardenCache::open(dir.clone()).unwrap();
-            cache.store_text(key(1), "kept");
-            cache.flush();
-        }
-        let path = dir.join("harden-cache.log");
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes.extend_from_slice(&[sttlock_store::FRAME_VERSION, 200, 0]);
-        std::fs::write(&path, &bytes).unwrap();
-
-        let cache = HardenCache::open(dir).unwrap();
-        assert!(!cache.recovery().is_clean());
-        assert!(cache.recovery().dropped_bytes > 0);
-        assert_eq!(cache.lookup_text(key(1)).as_deref(), Some("kept"));
+        let (payloads, _) = sttlock_store::read_all::<Vec<u8>>(&path).unwrap();
+        assert_eq!(payloads.len(), 1);
+        use sttlock_store::Record as _;
+        assert_eq!(CacheEntry::decode(&payloads[0]).unwrap().body, "live");
     }
 }

@@ -51,13 +51,7 @@ const EPSILON: f64 = 1e-6;
 /// the static engine is the one analysis that legitimately runs on the
 /// foundry view.
 pub fn signal_probabilities(netlist: &Netlist) -> ProbabilityReport {
-    signal_probabilities_with(&CircuitView::new(netlist))
-}
-
-/// [`signal_probabilities`] against a shared [`CircuitView`], reusing
-/// its memoized topological order.
-pub fn signal_probabilities_with(view: &CircuitView<'_>) -> ProbabilityReport {
-    let netlist = view.netlist();
+    let view = CircuitView::new(netlist);
     let order = view.topo_order();
     let n = netlist.len();
     let mut p = vec![0.5f64; n];

@@ -133,15 +133,7 @@ pub struct IncrementalSta<'a> {
 impl<'a> IncrementalSta<'a> {
     /// Builds the engine with a fresh full forward pass.
     pub fn new(netlist: &'a Netlist, lib: &'a Library) -> Self {
-        Self::with_view(&CircuitView::new(netlist), lib)
-    }
-
-    /// Builds the engine against a shared [`CircuitView`], consuming the
-    /// view's memoized topological order and combinational fan-out map
-    /// instead of constructing duplicates.
-    pub fn with_view(view: &CircuitView<'a>, lib: &'a Library) -> Self {
-        let netlist = view.netlist();
-        let mut engine = Self::skeleton(view, lib);
+        let mut engine = Self::skeleton(&CircuitView::new(netlist), lib);
         for (id, node) in netlist.iter() {
             if !node.is_combinational() {
                 engine.arrival[id.index()] = source_arrival(netlist, lib, id);

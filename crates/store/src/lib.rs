@@ -1,16 +1,19 @@
 //! Crash-safe durable state for the sttlock workspace.
 //!
 //! Every durable artifact the toolchain writes — campaign journals,
-//! fault journals, the serve harden cache, trace exports — goes
-//! through one of two primitives in this crate:
+//! result caches, the cluster dispatch journal, trace exports — goes
+//! through one of three primitives in this crate:
 //!
 //! - [`RecordLog`], a checksummed, length-framed append-only log with
-//!   truncate-to-last-valid recovery of torn or corrupt tails, a
-//!   configurable [`FsyncPolicy`], and atomic compaction;
+//!   truncate-to-last-valid recovery of torn or corrupt tails, an
+//!   [`FsyncPolicy`], and atomic compaction;
+//! - [`KeyedLog`], a last-wins keyed store on a [`RecordLog`]: the
+//!   campaign result cache, the campaign resume journal and serve's
+//!   response cache all ride it;
 //! - [`write_atomic`], a temp-file + fsync + rename snapshot write
 //!   that leaves either the old bytes or the new, never a mix.
 //!
-//! Both are built over the [`Fs`] trait so the deterministic chaos
+//! All three are built over the [`Fs`] trait so the deterministic chaos
 //! harness ([`ChaosFs`]) can inject short writes, torn writes, failed
 //! fsyncs, and simulated mid-write deaths under the production code
 //! paths, and so real processes can be killed at named byte positions
@@ -26,9 +29,11 @@
 pub mod chaos;
 pub mod frame;
 pub mod fs;
+pub mod keyed;
 pub mod log;
 
 pub use chaos::{ChaosConfig, ChaosFs};
 pub use frame::{CorruptKind, FRAME_VERSION, HEADER_LEN, MAX_RECORD_LEN};
 pub use fs::{write_atomic, write_atomic_with, Fs, KillPoint, LogFile, StdFs};
+pub use keyed::{Keyed, KeyedLog, OpenedKeyed, TextEntry};
 pub use log::{read_all, FsyncPolicy, OpenedLog, Record, RecordLog, RecoveryReport};

@@ -16,8 +16,6 @@ pub enum FsyncPolicy {
     /// Fsync after every record — the journal setting: a record that
     /// was reported appended survives `kill -9`.
     Always,
-    /// Fsync after every nth record (and on [`RecordLog::sync`]).
-    EveryN(u32),
     /// Never fsync implicitly — for caches whose loss costs only a
     /// recomputation.
     Never,
@@ -115,7 +113,6 @@ pub struct RecordLog<T: Record> {
     /// Bytes known to be on disk and frame-valid; the truncate target
     /// if an append fails partway.
     len: u64,
-    unsynced: u32,
     poisoned: bool,
     _marker: PhantomData<fn() -> T>,
 }
@@ -145,34 +142,18 @@ impl<T: Record> RecordLog<T> {
             Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(e),
         };
-        let scan = frame::scan(&bytes);
-        let mut records = Vec::with_capacity(scan.payloads.len());
-        let mut undecodable = 0usize;
-        for payload in &scan.payloads {
-            match T::decode(payload) {
-                Some(record) => records.push(record),
-                None => undecodable += 1,
-            }
-        }
-        let dropped = bytes.len() - scan.valid_len;
-        if dropped > 0 {
+        let (records, recovery) = decode_all::<T>(&bytes);
+        if recovery.dropped_bytes > 0 {
             // Heal the tail on disk before taking the append handle,
             // so the next frame never lands after garbage.
-            fs.truncate(&path, scan.valid_len as u64)?;
+            fs.truncate(&path, recovery.kept_bytes as u64)?;
             sttlock_obs::counter("store.recoveries", 1);
-            sttlock_obs::counter("store.recovered_bytes", dropped as u64);
+            sttlock_obs::counter("store.recovered_bytes", recovery.dropped_bytes as u64);
         }
         sttlock_obs::counter("store.recovered_records", records.len() as u64);
-        if undecodable > 0 {
-            sttlock_obs::counter("store.undecodable_records", undecodable as u64);
+        if recovery.undecodable > 0 {
+            sttlock_obs::counter("store.undecodable_records", recovery.undecodable as u64);
         }
-        let recovery = RecoveryReport {
-            records: records.len(),
-            kept_bytes: scan.valid_len,
-            dropped_bytes: dropped,
-            corruption: if dropped > 0 { scan.corruption } else { None },
-            undecodable,
-        };
         let file = fs.open_append(&path)?;
         Ok(OpenedLog {
             log: RecordLog {
@@ -180,8 +161,7 @@ impl<T: Record> RecordLog<T> {
                 path,
                 file: Some(file),
                 policy,
-                len: scan.valid_len as u64,
-                unsynced: 0,
+                len: recovery.kept_bytes as u64,
                 poisoned: false,
                 _marker: PhantomData,
             },
@@ -229,15 +209,8 @@ impl<T: Record> RecordLog<T> {
         }
         self.len += framed.len() as u64;
         sttlock_obs::counter("store.appends", 1);
-        match self.policy {
-            FsyncPolicy::Always => self.sync()?,
-            FsyncPolicy::EveryN(n) => {
-                self.unsynced += 1;
-                if self.unsynced >= n.max(1) {
-                    self.sync()?;
-                }
-            }
-            FsyncPolicy::Never => {}
+        if self.policy == FsyncPolicy::Always {
+            self.sync()?;
         }
         Ok(())
     }
@@ -268,16 +241,17 @@ impl<T: Record> RecordLog<T> {
             .file
             .as_mut()
             .ok_or_else(|| io::Error::other("record log has no open file"))?;
-        file.sync()?;
-        self.unsynced = 0;
-        Ok(())
+        file.sync()
     }
 
     /// Atomically rewrites the log to contain exactly `records`
     /// (snapshot semantics: temp file + fsync + rename), then reopens
-    /// for appending. Used for compaction after dedup, so a log of
-    /// last-wins updates shrinks to its live set.
-    pub fn compact(&mut self, records: &[T]) -> io::Result<()> {
+    /// for appending. [`crate::KeyedLog`] compacts through here, so a
+    /// log of last-wins updates shrinks to its live set.
+    pub fn compact<'r>(&mut self, records: impl IntoIterator<Item = &'r T>) -> io::Result<()>
+    where
+        T: 'r,
+    {
         let mut bytes = Vec::new();
         for record in records {
             bytes.extend_from_slice(&frame::encode(&record.encode()));
@@ -288,7 +262,6 @@ impl<T: Record> RecordLog<T> {
         crate::fs::write_atomic_with(self.fs.as_ref(), &self.path, &bytes)?;
         self.file = Some(self.fs.open_append(&self.path)?);
         self.len = bytes.len() as u64;
-        self.unsynced = 0;
         self.poisoned = false;
         sttlock_obs::counter("store.compactions", 1);
         Ok(())
@@ -304,7 +277,13 @@ pub fn read_all<T: Record>(path: &Path) -> io::Result<(Vec<T>, RecoveryReport)> 
         Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
         Err(e) => return Err(e),
     };
-    let scan = frame::scan(&bytes);
+    Ok(decode_all(&bytes))
+}
+
+/// Decodes every valid frame of `bytes`, reporting the invalid tail and
+/// the payloads `T` could not decode.
+fn decode_all<T: Record>(bytes: &[u8]) -> (Vec<T>, RecoveryReport) {
+    let scan = frame::scan(bytes);
     let mut records = Vec::with_capacity(scan.payloads.len());
     let mut undecodable = 0usize;
     for payload in &scan.payloads {
@@ -321,7 +300,7 @@ pub fn read_all<T: Record>(path: &Path) -> io::Result<(Vec<T>, RecoveryReport)> 
         corruption: if dropped > 0 { scan.corruption } else { None },
         undecodable,
     };
-    Ok((records, report))
+    (records, report)
 }
 
 #[cfg(test)]

@@ -2,14 +2,16 @@
 //! build a valid framed log, corrupt it with arbitrary byte edits,
 //! and require that scanning/opening never panics and never yields a
 //! payload whose CRC does not match its header — the two invariants
-//! every `--resume` sits on.
+//! every `--resume` sits on. The keyed store is held to a last-wins
+//! model over the same truncations.
 
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 
-use sttlock_store::{frame, FsyncPolicy, RecordLog};
+use sttlock_store::{frame, FsyncPolicy, Keyed, KeyedLog, Record, RecordLog};
 
 fn framed_log(payloads: &[Vec<u8>]) -> Vec<u8> {
     let mut out = Vec::new();
@@ -57,6 +59,47 @@ fn assert_scan_invariants(bytes: &[u8]) {
     if scan.corruption.is_none() {
         assert_eq!(scan.valid_len, bytes.len());
     }
+}
+
+/// A keyed test record: payload `[key, value...]`. The empty payload
+/// is CRC-valid but undecodable.
+#[derive(Debug, Clone, PartialEq)]
+struct Kv {
+    key: u8,
+    value: Vec<u8>,
+}
+
+impl Record for Kv {
+    fn encode(&self) -> Vec<u8> {
+        let mut out = vec![self.key];
+        out.extend_from_slice(&self.value);
+        out
+    }
+
+    fn decode(bytes: &[u8]) -> Option<Kv> {
+        let (&key, value) = bytes.split_first()?;
+        Some(Kv {
+            key,
+            value: value.to_vec(),
+        })
+    }
+}
+
+impl Keyed for Kv {
+    fn key(&self) -> String {
+        self.key.to_string()
+    }
+}
+
+/// The last-wins model: the live records in the order of each key's
+/// last append — the exact content a compacted log must hold.
+fn last_wins(records: &[Kv]) -> Vec<Kv> {
+    let mut live: Vec<Kv> = Vec::new();
+    for r in records {
+        live.retain(|l| l.key != r.key);
+        live.push(r.clone());
+    }
+    live
 }
 
 static FUZZ_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -141,5 +184,70 @@ proptest! {
         want.push(appended);
         prop_assert_eq!(again.records, want);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A keyed log reopened after any prefix truncation holds exactly
+    /// the last-wins map of the whole records that survived, and its
+    /// file is then exactly those live records in last-append order:
+    /// compacting the same live set twice gives identical bytes.
+    #[test]
+    fn keyed_log_replays_last_wins_after_any_truncation(
+        puts in prop::collection::vec(
+            (0u8..5, prop::collection::vec(any::<u8>(), 0..12)),
+            1..16,
+        ),
+        cut_seed in any::<usize>(),
+    ) {
+        // Key 4 writes an undecodable (empty) payload: dead weight the
+        // open must compact away.
+        let payloads: Vec<Vec<u8>> = puts
+            .iter()
+            .map(|(key, value)| match key {
+                4 => Vec::new(),
+                _ => Kv { key: *key, value: value.clone() }.encode(),
+            })
+            .collect();
+        let full = framed_log(&payloads);
+        let cut = cut_seed % (full.len() + 1);
+        let mut end = 0;
+        let survived: Vec<Kv> = payloads
+            .iter()
+            .take_while(|p| {
+                end += frame::encode(p).len();
+                end <= cut
+            })
+            .filter_map(|p| Kv::decode(p))
+            .collect();
+        let live = last_wins(&survived);
+
+        let first = scratch_path();
+        let second = scratch_path();
+        std::fs::write(&first, &full[..cut]).unwrap();
+        std::fs::write(&second, &full[..cut]).unwrap();
+        let mut opened = KeyedLog::<Kv>::open(&first, FsyncPolicy::Never).unwrap();
+        let model: HashMap<String, Kv> = live.iter().map(|r| (r.key(), r.clone())).collect();
+        prop_assert_eq!(&opened.entries, &model);
+        for (key, record) in &model {
+            prop_assert_eq!(opened.store.get(key), Some(record));
+        }
+        let compacted = framed_log(&live.iter().map(Kv::encode).collect::<Vec<_>>());
+        prop_assert_eq!(std::fs::read(&first).unwrap(), compacted.clone());
+        drop(KeyedLog::<Kv>::open(&second, FsyncPolicy::Never).unwrap());
+        prop_assert_eq!(std::fs::read(&second).unwrap(), compacted);
+
+        // A put after recovery is live now and after a reopen.
+        let put = Kv { key: 0, value: b"after".to_vec() };
+        opened.store.put(put.clone()).unwrap();
+        prop_assert_eq!(opened.store.get("0"), Some(&put));
+        drop(opened);
+        let reopened = KeyedLog::<Kv>::open(&first, FsyncPolicy::Never).unwrap();
+        prop_assert!(reopened.recovery.is_clean());
+        let mut want = survived;
+        want.push(put);
+        let want: HashMap<String, Kv> =
+            last_wins(&want).into_iter().map(|r| (r.key(), r)).collect();
+        prop_assert_eq!(reopened.entries, want);
+        std::fs::remove_file(&first).ok();
+        std::fs::remove_file(&second).ok();
     }
 }

@@ -10,6 +10,7 @@
 use std::error::Error;
 use std::fmt;
 
+use sttlock_exec::BudgetError;
 use sttlock_sim::SimError;
 
 use crate::sensitization::SensitizationOutcome;
@@ -48,6 +49,11 @@ pub enum AttackError {
         /// The attack state at the moment the budget expired.
         partial: Box<SensitizationOutcome>,
     },
+    /// The caller's budget ran out before the SAT attack converged
+    /// (the budget is checked before each solver query and polled
+    /// inside it). Unlike [`AttackError::TimedOut`] no partial key
+    /// travels along: a SAT attack has no key until its last query.
+    Budget(BudgetError),
     /// The oracle could not be simulated.
     Sim(SimError),
 }
@@ -87,6 +93,7 @@ impl fmt::Display for AttackError {
                 partial.test_clocks,
                 partial.sat_queries
             ),
+            AttackError::Budget(e) => write!(f, "attack budget exhausted: {e}"),
             AttackError::Sim(e) => write!(f, "oracle simulation failed: {e}"),
         }
     }
@@ -96,6 +103,7 @@ impl Error for AttackError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             AttackError::Sim(e) => Some(e),
+            AttackError::Budget(e) => Some(e),
             _ => None,
         }
     }

@@ -13,6 +13,7 @@
 //! Criterion benches quantify the growth of [`SatAttackOutcome::dips`]
 //! and solver conflicts as the selection algorithms strengthen.
 
+use sttlock_exec::Budget;
 use sttlock_netlist::{Netlist, NodeId, TruthTable};
 use sttlock_sat::encode::{assert_some_difference_gated, encode, tie_keys, Encoding};
 use sttlock_sat::unroll::encode_unrolled;
@@ -74,6 +75,24 @@ pub fn run(
     oracle: &Netlist,
     cfg: &SatAttackConfig,
 ) -> Result<SatAttackOutcome, AttackError> {
+    run_with_budget(redacted, oracle, cfg, &Budget::unbounded())
+}
+
+/// [`run`] under a caller-provided [`Budget`]: every solver query
+/// (one per DIP, plus the final key extraction) checks the budget and
+/// charges it one step, and polls it while it searches, so a deadline
+/// or a cancel stops the attack within one poll interval even when a
+/// single query is slow.
+///
+/// # Errors
+///
+/// As [`run`], plus [`AttackError::Budget`] when the budget trips.
+pub fn run_with_budget(
+    redacted: &Netlist,
+    oracle: &Netlist,
+    cfg: &SatAttackConfig,
+    budget: &Budget,
+) -> Result<SatAttackOutcome, AttackError> {
     if redacted.len() != oracle.len() {
         return Err(AttackError::DesignMismatch {
             redacted: redacted.len(),
@@ -105,7 +124,7 @@ pub fn run(
                 solver_stats: solver.stats(),
             });
         }
-        match solver.solve_with(&[miter_active]) {
+        match solve(&mut solver, &[miter_active], budget)? {
             SatResult::Unsat => break,
             SatResult::Sat => {
                 dips += 1;
@@ -136,7 +155,7 @@ pub fn run(
 
     // Key space collapsed: any remaining key is functionally correct.
     // Solve without the miter to extract one.
-    if solver.solve() != SatResult::Sat {
+    if solve(&mut solver, &[], budget)? != SatResult::Sat {
         return Err(AttackError::Unsatisfiable);
     }
     let bitstream = e1.decode_keys(&solver);
@@ -206,6 +225,22 @@ pub fn run_sequential(
     oracle: &Netlist,
     cfg: &SequentialAttackConfig,
 ) -> Result<SequentialAttackOutcome, AttackError> {
+    run_sequential_with_budget(redacted, oracle, cfg, &Budget::unbounded())
+}
+
+/// [`run_sequential`] under a caller-provided [`Budget`], checked,
+/// charged and polled per solver query as in [`run_with_budget`].
+///
+/// # Errors
+///
+/// As [`run_sequential`], plus [`AttackError::Budget`] when the budget
+/// trips.
+pub fn run_sequential_with_budget(
+    redacted: &Netlist,
+    oracle: &Netlist,
+    cfg: &SequentialAttackConfig,
+    budget: &Budget,
+) -> Result<SequentialAttackOutcome, AttackError> {
     if redacted.len() != oracle.len() {
         return Err(AttackError::DesignMismatch {
             redacted: redacted.len(),
@@ -249,7 +284,7 @@ pub fn run_sequential(
                 solver_stats: solver.stats(),
             });
         }
-        match solver.solve_with(&[miter_active]) {
+        match solve(&mut solver, &[miter_active], budget)? {
             SatResult::Unsat => break,
             SatResult::Sat => {
                 dips += 1;
@@ -286,7 +321,7 @@ pub fn run_sequential(
         }
     }
 
-    if solver.solve() != SatResult::Sat {
+    if solve(&mut solver, &[], budget)? != SatResult::Sat {
         return Err(AttackError::Unsatisfiable);
     }
     let bitstream = u1.frames[0].decode_keys(&solver);
@@ -296,6 +331,23 @@ pub fn run_sequential(
         frames: k,
         solver_stats: solver.stats(),
     })
+}
+
+/// One budgeted solver query: check and charge the budget, then solve
+/// while polling it.
+fn solve(
+    solver: &mut Solver,
+    assumptions: &[Lit],
+    budget: &Budget,
+) -> Result<SatResult, AttackError> {
+    budget.check().map_err(AttackError::Budget)?;
+    budget.charge(1);
+    let mut tripped = None;
+    let answer = solver.solve_until(assumptions, &mut || {
+        tripped = budget.check().err();
+        tripped.is_some()
+    });
+    answer.ok_or_else(|| AttackError::Budget(tripped.expect("the search stops only on a trip")))
 }
 
 /// Verifies a recovered bitstream against the oracle by random
@@ -453,6 +505,59 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mismatches = verify_bitstream(&redacted, &programmed, &bits, 64, &mut rng).unwrap();
         assert_eq!(mismatches, 0, "equivalence class member must match oracle");
+    }
+
+    #[test]
+    fn every_query_is_charged_and_an_unbounded_budget_changes_nothing() {
+        let (redacted, programmed) = lock(&["g1", "g2", "g3"]);
+        let cfg = SatAttackConfig::default();
+        let plain = run(&redacted, &programmed, &cfg).unwrap();
+        let budget = Budget::unbounded();
+        let budgeted = run_with_budget(&redacted, &programmed, &cfg, &budget).unwrap();
+        assert_eq!(budgeted, plain);
+        // One step per DIP query, one for the query that found none and
+        // one for the key extraction.
+        assert_eq!(budget.steps_spent(), plain.dips as u64 + 2);
+
+        let seq = SequentialAttackConfig {
+            frames: 2,
+            max_dips: 10_000,
+        };
+        let plain = run_sequential(&redacted, &programmed, &seq).unwrap();
+        let budget = Budget::unbounded();
+        let budgeted = run_sequential_with_budget(&redacted, &programmed, &seq, &budget).unwrap();
+        assert_eq!(budgeted, plain);
+        assert_eq!(budget.steps_spent(), plain.dips as u64 + 2);
+    }
+
+    #[test]
+    fn a_tripped_budget_stops_both_attacks_between_queries() {
+        let (redacted, programmed) = lock(&["g1", "g2", "g3"]);
+        let cancelled = Budget::unbounded();
+        cancelled.cancel();
+        assert_eq!(
+            run_with_budget(
+                &redacted,
+                &programmed,
+                &SatAttackConfig::default(),
+                &cancelled
+            ),
+            Err(AttackError::Budget(sttlock_exec::BudgetError::Cancelled))
+        );
+        // A one-query allowance lets the first DIP query run and stops
+        // the attack at the second.
+        let one_query = Budget::new(None, Some(1));
+        let seq = SequentialAttackConfig {
+            frames: 2,
+            max_dips: 10_000,
+        };
+        assert_eq!(
+            run_sequential_with_budget(&redacted, &programmed, &seq, &one_query),
+            Err(AttackError::Budget(
+                sttlock_exec::BudgetError::StepsExhausted
+            ))
+        );
+        assert_eq!(one_query.steps_spent(), 1);
     }
 
     #[test]

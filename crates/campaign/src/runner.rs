@@ -3,9 +3,8 @@
 //!
 //! The worker pool is [`sttlock_exec::scoped_map`]: scoped OS threads
 //! pulling cell indices from a shared atomic counter, each index
-//! wrapped in `catch_unwind` (rayon is not available offline). Each
-//! cell additionally runs on its own *detached* thread so the worker
-//! can abandon it on timeout:
+//! wrapped in `catch_unwind` (rayon is not available offline). A cell
+//! runs inline on the worker thread that claimed it:
 //!
 //! * a panic inside the cell is contained by `catch_unwind` and becomes
 //!   a [`RunStatus::Panicked`] record (the stock panic hook still
@@ -15,21 +14,23 @@
 //!   the `PoisonError` — the protected data is a file handle or an
 //!   insert-only map, both valid after an unwind — and counted as
 //!   `campaign.poison_recovered`;
-//! * a cell that exceeds the budget becomes [`RunStatus::TimedOut`];
-//!   the runner abandons its detached thread but cancels the cell's
-//!   [`Budget`], checked between stages (and inside every timing-oracle
-//!   and repair loop), so the thread winds down promptly instead of
-//!   burning CPU until process exit. Live abandoned threads are visible
-//!   as the `campaign.abandoned_cells` gauge.
+//! * a cell that exceeds its timeout becomes [`RunStatus::TimedOut`].
+//!   The cell's [`Budget`] carries the timeout as its deadline, and
+//!   every looping stage checks it — selection, repair, the
+//!   sensitization attack per pattern, the SAT attacks per solver
+//!   query and inside it (the solver polls the budget every 1024
+//!   search steps), and the injected-timeout cell through
+//!   [`Budget::sleep`] — so a late cell stops at its next check and
+//!   frees its worker.
 //!
-//! The per-cell budget carries **no deadline** — only the runner's
-//! timeout watchdog decides when a cell is late, so the timed-out
-//! record is always the runner's [`RunStatus::TimedOut`] row and never
-//! races a cell-side budget error at the boundary.
+//! The trade-off of running inline: a stage that never checks the
+//! budget holds its worker until it returns. A thread per cell would
+//! free the worker, but then repeated grid passes in one process land
+//! cells on ever-new threads and malloc arenas, each arena keeps a
+//! heavy cell's footprint, and peak RSS climbs pass after pass.
 
 use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -300,23 +301,20 @@ pub struct CellExecutor {
 
 impl CellExecutor {
     /// Runs one cell under the same fault-isolation contract as a grid
-    /// run: the result is always a record — panics, hangs and failures
-    /// become their structured statuses, never an unwind.
+    /// run: the result is always a record — panics, cells past their
+    /// timeout and failures become their structured statuses, never an
+    /// unwind.
     pub fn run(&self, cell: &Cell, timeout: Duration) -> RunRecord {
         run_cell_isolated(cell, timeout, None, &self.pool)
     }
 }
 
-/// Runs one cell on a detached thread with a wall-clock budget.
+/// Runs one cell on the calling thread under a wall-clock budget.
 ///
-/// On timeout the thread is abandoned, not killed: the runner cancels
-/// the cell's [`Budget`], which the cell checks between stages and
-/// inside every timing-oracle, repair and attack loop, so the thread
-/// winds down at the next check. The `campaign.abandoned_cells` gauge
-/// is incremented *before* the budget is cancelled and decremented by
-/// the cell thread once it observes the cancellation, so the gauge
-/// never goes negative and drains to zero when every abandoned thread
-/// has exited.
+/// The budget's deadline is `timeout` from now. A cell that is still
+/// running when it expires stops at its next budget check; whatever it
+/// returned, a cell that ran past the deadline is recorded as
+/// [`RunStatus::TimedOut`] with `wall_ms = timeout`.
 fn run_cell_isolated(
     cell: &Cell,
     timeout: Duration,
@@ -324,63 +322,33 @@ fn run_cell_isolated(
     pool: &GenPool,
 ) -> RunRecord {
     let start = Instant::now();
-    let (tx, rx) = mpsc::channel();
-    // Deliberately cancel-only (no deadline): the runner's watchdog
-    // below is the sole judge of lateness, so the recorded status can
-    // never race between its TimedOut row and a cell-side budget error.
-    let budget = Budget::unbounded();
-    let owned_cell = cell.clone();
-    let owned_cache = cache.cloned();
-    let owned_pool = Arc::clone(pool);
-    let owned_budget = budget.clone();
-    let ctx = sttlock_obs::current_context();
-    thread::spawn(move || {
-        let _adopted = sttlock_obs::adopt(ctx);
-        let result = panic::catch_unwind(AssertUnwindSafe(|| {
-            run_cell(
-                &owned_cell,
-                owned_cache.as_ref(),
-                &owned_pool,
-                &owned_budget,
-            )
-        }));
-        // The receiver may have given up (timeout); that is fine.
-        let _ = tx.send(result);
-        if owned_budget.is_cancelled() {
-            sttlock_obs::gauge("campaign.abandoned_cells", -1);
+    let budget = Budget::new(start.checked_add(timeout), None);
+    let result = panic::catch_unwind(AssertUnwindSafe(|| run_cell(cell, cache, pool, &budget)));
+    let status = if start.elapsed() >= timeout {
+        sttlock_obs::counter("campaign.timeout", 1);
+        RunStatus::TimedOut
+    } else {
+        match result {
+            Ok(record) => return record,
+            Err(payload) => {
+                sttlock_obs::counter("campaign.panic", 1);
+                RunStatus::Panicked(panic_message(payload))
+            }
         }
-    });
-    match rx.recv_timeout(timeout) {
-        Ok(Ok(record)) => record,
-        Ok(Err(payload)) => {
-            sttlock_obs::counter("campaign.panic", 1);
-            let mut r = RunRecord::failure(
-                cell.circuit.name(),
-                &cell.algorithm.to_string(),
-                cell.seed,
-                cell.attack.tag(),
-                RunStatus::Panicked(panic_message(payload)),
-            );
-            r.config = cell.overrides.descriptor();
-            r.wall_ms = start.elapsed().as_millis() as u64;
-            r
-        }
-        Err(_) => {
-            sttlock_obs::counter("campaign.timeout", 1);
-            sttlock_obs::gauge("campaign.abandoned_cells", 1);
-            budget.cancel();
-            let mut r = RunRecord::failure(
-                cell.circuit.name(),
-                &cell.algorithm.to_string(),
-                cell.seed,
-                cell.attack.tag(),
-                RunStatus::TimedOut,
-            );
-            r.config = cell.overrides.descriptor();
-            r.wall_ms = timeout.as_millis() as u64;
-            r
-        }
-    }
+    };
+    let mut r = RunRecord::failure(
+        cell.circuit.name(),
+        &cell.algorithm.to_string(),
+        cell.seed,
+        cell.attack.tag(),
+        status,
+    );
+    r.config = cell.overrides.descriptor();
+    r.wall_ms = match r.status {
+        RunStatus::TimedOut => timeout.as_millis() as u64,
+        _ => start.elapsed().as_millis() as u64,
+    };
+    r
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -438,9 +406,9 @@ fn generate(
         } => Profile::custom("custom", *gates, *dffs, *inputs, *outputs),
         CircuitSpec::InjectPanic => panic!("injected panic cell"),
         CircuitSpec::InjectTimeout => {
-            // Never finishes on its own; once the runner abandons this
-            // thread and cancels its budget, the cancel-aware sleep
-            // returns within ~10 ms instead of dozing for an hour.
+            // Never finishes on its own; once the cell's deadline
+            // passes, the budget-aware sleep returns within ~10 ms
+            // instead of dozing for an hour.
             while budget.sleep(Duration::from_secs(3600)) {}
             return Err("cancelled after timeout".to_owned());
         }
@@ -460,11 +428,11 @@ fn generate(
 
 /// Runs one cell to completion: generate → cache probe → flow → attack.
 ///
-/// `budget` is the runner's cancel-only abandon budget; it is threaded
+/// `budget` carries the cell's timeout as its deadline; it is threaded
 /// into every stage (flow selection, repair rounds, attack oracle
-/// queries all check it) so an abandoned cell stops mid-stage. The
-/// early-return record of a cancelled cell is discarded — the runner
-/// already recorded the timeout row.
+/// queries all check it) so a late cell stops mid-stage. The
+/// early-return record of a late cell is replaced by the runner's
+/// timeout row.
 fn run_cell(cell: &Cell, cache: Option<&Cache>, pool: &GenPool, budget: &Budget) -> RunRecord {
     let start = Instant::now();
     let algorithm = cell.algorithm.to_string();
@@ -488,7 +456,7 @@ fn run_cell(cell: &Cell, cache: Option<&Cache>, pool: &GenPool, budget: &Budget)
             Err(message) => return fail(RunStatus::Failed(message)),
         }
     };
-    if budget.is_cancelled() {
+    if budget.exhausted() {
         return fail(RunStatus::TimedOut);
     }
 
@@ -530,14 +498,14 @@ fn run_cell(cell: &Cell, cache: Option<&Cache>, pool: &GenPool, budget: &Budget)
         let _s = sttlock_obs::span!("cell.flow");
         match flow.run_budgeted(&netlist, cell.algorithm, cell.seed, budget) {
             Ok(o) => o,
-            // A budget trip mid-flow is the runner's abandonment, not a
-            // flow defect; the record is discarded either way, but keep
-            // the status honest.
+            // A budget trip mid-flow is the cell's timeout, not a flow
+            // defect; the record is replaced either way, but keep the
+            // status honest.
             Err(FlowError::Budget(_)) => return fail(RunStatus::TimedOut),
             Err(e) => return fail(RunStatus::Failed(format!("flow failed: {e}"))),
         }
     };
-    if budget.is_cancelled() {
+    if budget.exhausted() {
         return fail(RunStatus::TimedOut);
     }
     let report = &outcome.report;
@@ -572,7 +540,7 @@ fn run_cell(cell: &Cell, cache: Option<&Cache>, pool: &GenPool, budget: &Budget)
             }
         }
     };
-    if budget.is_cancelled() {
+    if budget.exhausted() {
         return fail(RunStatus::TimedOut);
     }
 
@@ -685,8 +653,8 @@ fn run_attack(
         }
         AttackKind::Sat { max_dips } => {
             let foundry = hybrid.redact().0;
-            let out =
-                sat_attack::run(&foundry, hybrid, &SatAttackConfig { max_dips }).map_err(err)?;
+            let cfg = SatAttackConfig { max_dips };
+            let out = sat_attack::run_with_budget(&foundry, hybrid, &cfg, budget).map_err(err)?;
             let s = out.solver_stats;
             Ok(Some(AttackMetrics {
                 broke: out.succeeded(),
@@ -702,7 +670,8 @@ fn run_attack(
         AttackKind::SequentialSat { frames, max_dips } => {
             let foundry = hybrid.redact().0;
             let cfg = SequentialAttackConfig { frames, max_dips };
-            let out = sat_attack::run_sequential(&foundry, hybrid, &cfg).map_err(err)?;
+            let out = sat_attack::run_sequential_with_budget(&foundry, hybrid, &cfg, budget)
+                .map_err(err)?;
             let s = out.solver_stats;
             Ok(Some(AttackMetrics {
                 broke: out.bitstream.is_some(),
@@ -784,35 +753,76 @@ mod tests {
     }
 
     #[test]
-    fn injected_timeout_is_recorded_and_the_abandoned_thread_drains() {
+    fn injected_timeout_is_recorded_and_frees_its_worker() {
         let _guard = obs_lock();
         let collector = sttlock_obs::TraceCollector::new();
         sttlock_obs::install(collector.clone());
+        // jobs: 1 runs both cells on one worker: the survivor only runs
+        // once the runaway cell has given its worker back.
         let spec = CampaignSpec {
             timeout: Duration::from_millis(100),
+            jobs: 1,
             ..quick_spec(vec![CircuitSpec::InjectTimeout, small("survivor")])
         };
         let t0 = Instant::now();
         let result = execute(&spec);
         assert_eq!(result.records[0].status, RunStatus::TimedOut);
+        assert_eq!(result.records[0].wall_ms, 100);
         assert!(result.records[1].status.is_ok());
         assert!(
             t0.elapsed() < Duration::from_secs(30),
             "the campaign must not wait for the runaway cell"
         );
         assert_eq!(collector.counter_value("campaign.timeout"), 1);
-        // The abandoned thread observes the cancel flag and winds down:
-        // the live-abandoned gauge must drain back to zero (on the seed
-        // code the thread slept for an hour and the gauge never moved).
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while collector.gauge_value("campaign.abandoned_cells") != 0 {
-            assert!(
-                Instant::now() < deadline,
-                "abandoned cell thread never wound down"
-            );
-            thread::sleep(Duration::from_millis(10));
-        }
         sttlock_obs::uninstall();
+    }
+
+    #[test]
+    fn a_sat_cell_past_its_timeout_stops_in_the_attack_and_frees_its_worker() {
+        let _guard = obs_lock();
+        let collector = sttlock_obs::TraceCollector::new();
+        sttlock_obs::install(collector.clone());
+        // Hardening this circuit takes a fraction of the timeout; the
+        // unlimited SAT attack on it takes many times the timeout.
+        let timeout = Duration::from_secs(2);
+        let spec = CampaignSpec {
+            circuits: vec![CircuitSpec::Custom {
+                name: "sat-runaway".to_owned(),
+                gates: 800,
+                dffs: 8,
+                inputs: 10,
+                outputs: 8,
+            }],
+            algorithms: vec![sttlock_core::SelectionAlgorithm::Dependent],
+            attacks: vec![AttackKind::Sat { max_dips: 0 }],
+            timeout,
+            jobs: 1,
+            ..quick_spec(vec![])
+        };
+        let t0 = Instant::now();
+        let result = execute(&spec);
+        let elapsed = t0.elapsed();
+        sttlock_obs::uninstall();
+        // Other tests run cells concurrently into the same collector:
+        // pick this cell's span, then its attack stage.
+        let spans = collector.spans();
+        let runaway = sttlock_obs::FieldValue::from("sat-runaway");
+        let cell_span = spans
+            .iter()
+            .find(|s| s.name == "campaign.cell" && s.fields.contains(&("circuit", runaway.clone())))
+            .expect("the cell span closed");
+        let attack = spans
+            .iter()
+            .filter(|s| s.name == "cell.attack" && s.parent == Some(cell_span.id))
+            .count();
+        assert_eq!(result.records[0].status, RunStatus::TimedOut);
+        assert_eq!(result.records[0].wall_ms, 2000);
+        assert_eq!(attack, 1, "the cell reached its attack stage");
+        assert!(
+            elapsed < timeout + Duration::from_millis(1500),
+            "the SAT attack must stop near the timeout, took {elapsed:?}"
+        );
+        assert_eq!(collector.counter_value("campaign.timeout"), 1);
     }
 
     #[test]

@@ -8,8 +8,12 @@
 //! says `known: false` (a restarted/resumed coordinator forgets its
 //! workers; the worker is the durable side of that handshake). Cell
 //! execution rides on [`sttlock_campaign::CellExecutor`], so a cell
-//! that panics or hangs becomes a structured failure record — the
-//! worker process survives everything a local campaign run would.
+//! that panics or runs past its timeout becomes a structured failure
+//! record — the worker process survives everything a local campaign
+//! run would. A cell runs on the thread that serves its request and
+//! stops at its stages' budget checks, so the reply leaves within a
+//! poll interval of the cell's timeout, inside the coordinator's
+//! dispatch margin.
 
 use std::io;
 use std::path::PathBuf;

@@ -9,6 +9,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpListener;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -228,6 +229,34 @@ fn a_dead_worker_is_evicted_and_its_cells_redispatched() {
     coordinator.shutdown();
 }
 
+/// Reads one whole HTTP request — head plus `Content-Length` body — so
+/// the fake server never closes with request bytes unread (Linux then
+/// answers with a reset that can destroy the response in flight).
+fn read_request(stream: &mut std::net::TcpStream) -> Vec<u8> {
+    let mut request = Vec::new();
+    let mut buf = [0u8; 4096];
+    let mut want = None;
+    while want.is_none_or(|len| request.len() < len) {
+        let n = match stream.read(&mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => n,
+        };
+        request.extend_from_slice(&buf[..n]);
+        if want.is_none() {
+            if let Some(end) = request.windows(4).position(|w| w == b"\r\n\r\n") {
+                let head = String::from_utf8_lossy(&request[..end]).to_ascii_lowercase();
+                let body = head
+                    .lines()
+                    .find_map(|l| l.strip_prefix("content-length:"))
+                    .and_then(|v| v.trim().parse::<usize>().ok())
+                    .unwrap_or(0);
+                want = Some(end + 4 + body);
+            }
+        }
+    }
+    request
+}
+
 #[test]
 fn a_version_skewed_worker_is_treated_like_a_dead_one() {
     let _guard = serial();
@@ -236,15 +265,19 @@ fn a_version_skewed_worker_is_treated_like_a_dead_one() {
     let baseline = zeroed(execute(&spec));
 
     // A fake worker that answers 200 with a payload from a different
-    // protocol version. The thread parks on accept; it dies with the
-    // test process.
+    // protocol version, counting the cell dispatches it receives. The
+    // thread parks on accept; it dies with the test process.
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let skewed_addr = listener.local_addr().unwrap().to_string();
+    let cell_requests = Arc::new(AtomicUsize::new(0));
+    let seen = Arc::clone(&cell_requests);
     std::thread::spawn(move || {
         for stream in listener.incoming() {
             let Ok(mut stream) = stream else { continue };
-            let mut buf = [0u8; 4096];
-            let _ = stream.read(&mut buf);
+            let request = read_request(&mut stream);
+            if request.starts_with(b"POST /v1/cell ") {
+                seen.fetch_add(1, Ordering::SeqCst);
+            }
             let body = "{\"proto\":999}";
             let _ = write!(
                 stream,
@@ -261,7 +294,16 @@ fn a_version_skewed_worker_is_treated_like_a_dead_one() {
 
     let result = std::thread::scope(|s| {
         let run = s.spawn(|| coordinator.run_campaign(&spec, &Budget::with_timeout(TIMEOUT)));
-        std::thread::sleep(Duration::from_millis(300));
+        // The real worker joins only once the skewed one has been sent
+        // a cell, so the skewed answer is always part of the run.
+        let deadline = Instant::now() + TIMEOUT;
+        while cell_requests.load(Ordering::SeqCst) == 0 {
+            assert!(
+                Instant::now() < deadline,
+                "the skewed worker was never dispatched a cell"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
         let worker = join_worker(&coordinator);
         let result = run.join().expect("campaign thread should not panic");
         worker.shutdown();

@@ -265,7 +265,7 @@ pub fn parametric<'a, R: Rng + ?Sized>(
 }
 
 /// [`parametric`] under a cooperative [`Budget`]: every oracle question
-/// (path-draw timing check or USL-closure wave probe) first checks the
+/// (path-draw timing check or USL-closure probe) first checks the
 /// budget and then charges one step, so a cancelled or expired request
 /// stops mid-selection — between cone queries, not at stage boundaries.
 ///
@@ -304,8 +304,8 @@ pub fn parametric_full_sta<'a, R: Rng + ?Sized>(
 
 /// Algorithm 2 over any [`TimingOracle`].
 ///
-/// The oracle's running hypothesis mirrors `selected` at all times:
-/// accepted draws stay swapped, rejected draws are reverted before the
+/// The oracle's running hypothesis mirrors the selection at all times:
+/// accepted gates stay swapped, rejected ones are reverted before the
 /// next question.
 fn parametric_with<R: Rng + ?Sized, O: TimingOracle>(
     view: &CircuitView<'_>,
@@ -315,6 +315,97 @@ fn parametric_with<R: Rng + ?Sized, O: TimingOracle>(
     oracle: &mut O,
     budget: Option<&Budget>,
 ) -> Result<Selection, BudgetError> {
+    let fits = budget_fit(timing, cfg);
+    let draws = draw_on_path(view, timing, cfg, rng, oracle, budget, &fits)?;
+
+    // USL closure: replace immediate off-path drivers and readers of
+    // every USL gate so no partial truth table can anchor on them. Each
+    // closure gate passes the same timing budget (the "parametric-aware"
+    // property extends to the closure; gates that would blow the budget
+    // are skipped). One ordered pass: each candidate is probed exactly
+    // once, on top of every closure gate accepted before it.
+    let mut closure: Vec<NodeId> = Vec::new();
+    for &id in &draws.neighbours {
+        if let Some(b) = budget {
+            b.check()?;
+            b.charge(1);
+        }
+        if try_accept(oracle, &[id], &fits) {
+            closure.push(id);
+        }
+    }
+    Ok(draws.into_selection(closure))
+}
+
+/// Whether a hybrid clock period stays within the configured
+/// degradation budget over the baseline period.
+fn budget_fit(timing: &TimingAnalysis, cfg: &SelectionConfig) -> impl Fn(f64) -> bool {
+    let budget_pct = cfg.timing_budget_pct;
+    let base_period = timing.clock_period_ns();
+    move |period| degradation_pct_from_periods(base_period, period) <= budget_pct + 1e-9
+}
+
+/// Swaps `draw` into the oracle's hypothesis and keeps it if the hybrid
+/// still meets the timing budget; otherwise reverts it. Returns whether
+/// it was kept.
+fn try_accept<O: TimingOracle>(
+    oracle: &mut O,
+    draw: &[NodeId],
+    fits: &impl Fn(f64) -> bool,
+) -> bool {
+    for &id in draw {
+        oracle.swap_to_lut(id);
+    }
+    if fits(oracle.clock_period_ns()) {
+        true
+    } else {
+        for &id in draw {
+            oracle.revert_to_gate(id);
+        }
+        false
+    }
+}
+
+/// What Algorithm 2's on-path draws leave for the USL closure.
+struct OnPathDraws {
+    /// Accepted on-path gates, still swapped in the oracle.
+    selected: HashSet<NodeId>,
+    /// Closure candidates: replaceable off-path drivers and readers of
+    /// the USL, in ascending id order.
+    neighbours: Vec<NodeId>,
+    paths_considered: usize,
+}
+
+impl OnPathDraws {
+    /// The finished selection; `closure` holds the accepted candidates
+    /// in scan order, which is ascending.
+    fn into_selection(self, closure: Vec<NodeId>) -> Selection {
+        let mut gates: Vec<NodeId> = self
+            .selected
+            .into_iter()
+            .chain(closure.iter().copied())
+            .collect();
+        gates.sort_unstable();
+        Selection {
+            algorithm: SelectionAlgorithm::ParametricAware,
+            gates,
+            usl_closure: closure,
+            paths_considered: self.paths_considered,
+        }
+    }
+}
+
+/// Algorithm 2 up to the USL closure: targets timing paths, draws and
+/// timing-checks gates on each, and collects the closure candidates.
+fn draw_on_path<R: Rng + ?Sized, O: TimingOracle>(
+    view: &CircuitView<'_>,
+    timing: &TimingAnalysis,
+    cfg: &SelectionConfig,
+    rng: &mut R,
+    oracle: &mut O,
+    budget: Option<&Budget>,
+    fits: &impl Fn(f64) -> bool,
+) -> Result<OnPathDraws, BudgetError> {
     if let Some(b) = budget {
         b.check()?;
     }
@@ -339,28 +430,8 @@ fn parametric_with<R: Rng + ?Sized, O: TimingOracle>(
         .min(segments.len());
     let targeted: Vec<&Vec<NodeId>> = segments.choose_multiple(rng, want_segments).collect();
 
-    let budget_pct = cfg.timing_budget_pct;
-    let base_period = timing.clock_period_ns();
-    let fits = |period: f64| degradation_pct_from_periods(base_period, period) <= budget_pct + 1e-9;
     let mut selected: HashSet<NodeId> = HashSet::new();
     let mut usl: Vec<NodeId> = Vec::new();
-
-    // Accepts `draw` if the hybrid still meets the timing budget;
-    // otherwise reverts it. Returns whether it was kept.
-    let try_accept = |oracle: &mut O, draw: &[NodeId]| -> bool {
-        for &id in draw {
-            oracle.swap_to_lut(id);
-        }
-        if fits(oracle.clock_period_ns()) {
-            true
-        } else {
-            for &id in draw {
-                oracle.revert_to_gate(id);
-            }
-            false
-        }
-    };
-
     for segment in &targeted {
         let candidates: Vec<NodeId> = segment
             .iter()
@@ -384,7 +455,7 @@ fn parametric_with<R: Rng + ?Sized, O: TimingOracle>(
                     }
                     let draw: Vec<NodeId> =
                         candidates.choose_multiple(rng, take).copied().collect();
-                    if try_accept(oracle, &draw) {
+                    if try_accept(oracle, &draw, fits) {
                         accepted = draw;
                         break 'shrink;
                     }
@@ -400,14 +471,8 @@ fn parametric_with<R: Rng + ?Sized, O: TimingOracle>(
         usl.extend(segment.iter().copied().filter(|id| !selected.contains(id)));
     }
 
-    // USL closure: replace immediate off-path drivers and readers of
-    // every USL gate so no partial truth table can anchor on them. Each
-    // closure gate passes the same timing budget (the "parametric-aware"
-    // property extends to the closure; gates that would blow the budget
-    // are skipped).
     let on_path: HashSet<NodeId> = targeted.iter().flat_map(|s| s.iter().copied()).collect();
     let fanout = view.fanout();
-    let mut closure: Vec<NodeId> = Vec::new();
     let mut neighbours: Vec<NodeId> = Vec::new();
     for &u in &usl {
         neighbours.extend(netlist.node(u).fanin().iter().copied());
@@ -418,37 +483,9 @@ fn parametric_with<R: Rng + ?Sized, O: TimingOracle>(
     neighbours.retain(|&cand| {
         !on_path.contains(&cand) && !selected.contains(&cand) && is_replaceable(netlist, cand)
     });
-
-    // Wave-based scan: batch-probe every pending candidate against the
-    // current hypothesis, commit the first passer, re-probe the rest.
-    // Candidates ahead of the first passer saw the same hypothesis a
-    // sequential scan would have shown them, so the decisions (and the
-    // final selection) are identical to probing one by one — there are
-    // just `acceptances + 1` waves instead of `candidates` full probes,
-    // and each wave's probes run in parallel on the incremental oracle.
-    let mut pending = neighbours;
-    while !pending.is_empty() {
-        let periods = oracle.eval_single_swaps_budgeted(&pending, budget)?;
-        let first_pass = periods.iter().position(|&p| fits(p));
-        match first_pass {
-            None => break,
-            Some(i) => {
-                let id = pending[i];
-                oracle.swap_to_lut(id);
-                selected.insert(id);
-                closure.push(id);
-                pending.drain(..=i);
-            }
-        }
-    }
-
-    let mut gates: Vec<NodeId> = selected.into_iter().collect();
-    gates.sort_unstable();
-    closure.sort_unstable();
-    Ok(Selection {
-        algorithm: SelectionAlgorithm::ParametricAware,
-        gates,
-        usl_closure: closure,
+    Ok(OnPathDraws {
+        selected,
+        neighbours,
         paths_considered,
     })
 }
@@ -691,6 +728,67 @@ mod tests {
             );
             assert_eq!(fast, reference, "gates={gates} seed={seed}");
         }
+    }
+
+    /// Parametric selection with the USL closure run as re-probe waves:
+    /// probe every pending candidate against the current hypothesis,
+    /// commit the first passer, drop the candidates ahead of it and
+    /// re-probe the rest; stop at the first wave without a passer.
+    fn parametric_waves(
+        view: &CircuitView<'_>,
+        lib: &Library,
+        timing: &TimingAnalysis,
+        cfg: &SelectionConfig,
+        rng: &mut StdRng,
+    ) -> Selection {
+        let mut oracle = IncrementalSta::from_analysis_with(view, lib, timing);
+        let fits = budget_fit(timing, cfg);
+        let draws = draw_on_path(view, timing, cfg, rng, &mut oracle, None, &fits).unwrap();
+        let mut closure = Vec::new();
+        let mut pending = draws.neighbours.clone();
+        while !pending.is_empty() {
+            let periods: Vec<f64> = pending
+                .iter()
+                .map(|&id| {
+                    TimingOracle::swap_to_lut(&mut oracle, id);
+                    let period = TimingOracle::clock_period_ns(&mut oracle);
+                    TimingOracle::revert_to_gate(&mut oracle, id);
+                    period
+                })
+                .collect();
+            let Some(i) = periods.iter().position(|&p| fits(p)) else {
+                break;
+            };
+            TimingOracle::swap_to_lut(&mut oracle, pending[i]);
+            closure.push(pending[i]);
+            pending.drain(..=i);
+        }
+        draws.into_selection(closure)
+    }
+
+    #[test]
+    fn ordered_closure_scan_matches_the_wave_reference() {
+        // Probing each closure candidate once, in order, must decide
+        // exactly what the re-probe waves decide.
+        let lib = Library::predictive_90nm();
+        let cfg = SelectionConfig::default();
+        let mut accepted = 0;
+        for (gates, seed) in [(220usize, 1u64), (220, 9), (400, 5), (700, 13), (2500, 3)] {
+            let n =
+                Profile::custom("par", gates, 8, 8, 6).generate(&mut StdRng::seed_from_u64(seed));
+            let timing = analyze(&n, &lib);
+            let view = CircuitView::new(&n);
+            let rng = || StdRng::seed_from_u64(seed * 7 + 1);
+            let scan = parametric(&view, &lib, &timing, &cfg, &mut rng());
+            let waves = parametric_waves(&view, &lib, &timing, &cfg, &mut rng());
+            assert_eq!(scan.gates, waves.gates, "gates={gates} seed={seed}");
+            assert_eq!(
+                scan.usl_closure, waves.usl_closure,
+                "gates={gates} seed={seed}"
+            );
+            accepted += scan.usl_closure.len();
+        }
+        assert!(accepted > 0, "the circuits must exercise the closure");
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! * **hierarchical spans** — [`span!`] opens a named, field-carrying
 //!   span whose guard records the duration on drop; spans nest through a
 //!   thread-local stack, and [`current_context`]/[`adopt`] carry the
-//!   parentage across thread boundaries (the campaign runner's detached
-//!   cell threads);
+//!   parentage across thread boundaries (the campaign runner's scoped
+//!   worker threads);
 //! * **monotonic counters** ([`counter`]), **gauges** ([`gauge`]) and
 //!   **explicit duration histograms** ([`observe_us`]);
 //! * a [`Collector`] trait behind a process-global registry
@@ -223,7 +223,7 @@ pub fn observe_us(name: &'static str, value_us: u64) {
 }
 
 /// A portable handle to the current span, for parenting spans opened on
-/// another thread (the campaign's detached cell threads).
+/// another thread (the campaign's scoped worker threads).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanContext {
     parent: Option<u64>,

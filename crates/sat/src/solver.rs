@@ -33,6 +33,9 @@ struct Clause {
 const VAR_DECAY: f64 = 0.95;
 const ACTIVITY_RESCALE: f64 = 1e100;
 const LUBY_UNIT: u64 = 64;
+/// Search-loop iterations between two polls of a
+/// [`Solver::solve_until`] stop callback.
+const STOP_POLL_STEPS: u32 = 1024;
 
 /// A CDCL SAT solver: two-literal watching, VSIDS, first-UIP learning,
 /// Luby restarts, phase saving, incremental solving under assumptions.
@@ -343,23 +346,47 @@ impl Solver {
     /// Solves under the given assumptions. The solver remains usable
     /// afterwards: more clauses and queries may follow (incremental use).
     pub fn solve_with(&mut self, assumptions: &[Lit]) -> SatResult {
+        self.solve_until(assumptions, &mut || false)
+            .expect("a search that is never stopped runs to an answer")
+    }
+
+    /// [`Solver::solve_with`] that polls `stop` every 1024 iterations
+    /// of the search loop (each a conflict or a decision) and gives up
+    /// with `None` once it returns `true`. The search backtracks to
+    /// level 0 and keeps its learnt clauses, so the solver stays
+    /// usable; a later query starts over. Until `stop` fires, the
+    /// search is step for step that of `solve_with`.
+    pub fn solve_until(
+        &mut self,
+        assumptions: &[Lit],
+        stop: &mut dyn FnMut() -> bool,
+    ) -> Option<SatResult> {
         if !self.ok {
-            return SatResult::Unsat;
+            return Some(SatResult::Unsat);
         }
         let mut conflicts_until_restart = luby(self.stats.restarts + 1) * LUBY_UNIT;
+        let mut steps_until_poll = STOP_POLL_STEPS;
         loop {
+            steps_until_poll -= 1;
+            if steps_until_poll == 0 {
+                if stop() {
+                    self.cancel_until(0);
+                    return None;
+                }
+                steps_until_poll = STOP_POLL_STEPS;
+            }
             if let Some(conflict) = self.propagate() {
                 self.stats.conflicts += 1;
                 if self.decision_level() == 0 {
                     self.ok = false;
                     self.cancel_until(0);
-                    return SatResult::Unsat;
+                    return Some(SatResult::Unsat);
                 }
                 if (self.decision_level() as usize) <= assumptions.len() {
                     // Conflict inside the assumption prefix: unsat under
                     // these assumptions (the formula itself may be sat).
                     self.cancel_until(0);
-                    return SatResult::Unsat;
+                    return Some(SatResult::Unsat);
                 }
                 let (learnt, backjump) = self.analyze(conflict);
                 self.cancel_until(backjump);
@@ -374,7 +401,7 @@ impl Solver {
                     match self.value_lit(learnt[0]) {
                         Some(false) => {
                             self.ok = false;
-                            return SatResult::Unsat;
+                            return Some(SatResult::Unsat);
                         }
                         Some(true) => {}
                         None => self.enqueue(learnt[0], None),
@@ -406,7 +433,7 @@ impl Solver {
                         }
                         Some(false) => {
                             self.cancel_until(0);
-                            return SatResult::Unsat;
+                            return Some(SatResult::Unsat);
                         }
                         None => Some(a),
                     }
@@ -419,7 +446,7 @@ impl Solver {
                         // Fully assigned: record the model.
                         self.model.clone_from(&self.assign);
                         self.cancel_until(0);
-                        return SatResult::Sat;
+                        return Some(SatResult::Sat);
                     }
                     Some(l) => {
                         self.trail_lim.push(self.trail.len());
@@ -633,6 +660,55 @@ mod tests {
             }
         }
         assert_eq!(s.solve(), SatResult::Unsat);
+    }
+
+    /// `holes + 1` pigeons into `holes` holes: unsatisfiable, and hard
+    /// enough at 6 holes that the search runs well past one poll.
+    fn pigeonhole(holes: usize) -> Solver {
+        let mut s = Solver::new();
+        let p = |s: &mut Solver, i: usize, j: usize| lit(s, i * holes + j, false);
+        for i in 0..=holes {
+            let row: Vec<Lit> = (0..holes).map(|j| p(&mut s, i, j)).collect();
+            s.add_clause(&row);
+        }
+        for j in 0..holes {
+            for i1 in 0..=holes {
+                for i2 in (i1 + 1)..=holes {
+                    let a = p(&mut s, i1, j);
+                    let b = p(&mut s, i2, j);
+                    s.add_clause(&[!a, !b]);
+                }
+            }
+        }
+        s
+    }
+
+    #[test]
+    fn a_stopped_search_gives_up_and_leaves_the_solver_usable() {
+        let mut s = pigeonhole(6);
+        let mut polls = 0;
+        let stopped = s.solve_until(&[], &mut || {
+            polls += 1;
+            true
+        });
+        assert_eq!(stopped, None);
+        assert_eq!(polls, 1, "the first poll stops the search");
+        assert!(s.stats().conflicts + s.stats().decisions >= 1023);
+        assert_eq!(s.solve(), SatResult::Unsat);
+    }
+
+    #[test]
+    fn an_unstopped_search_is_step_for_step_solve_with() {
+        let mut plain = pigeonhole(6);
+        let mut polled = pigeonhole(6);
+        let mut polls = 0u64;
+        let answer = polled.solve_until(&[], &mut || {
+            polls += 1;
+            false
+        });
+        assert_eq!(answer, Some(plain.solve_with(&[])));
+        assert_eq!(polled.stats(), plain.stats());
+        assert!(polls >= 1, "the search ran past one poll");
     }
 
     #[test]

@@ -329,7 +329,12 @@ fn attack(req: &Request, budget: &Budget) -> Response {
                 Err(e) => Response::error(422, &format!("attack failed: {e}")),
             }
         }
-        "sat" => match sat_attack::run(&foundry, hybrid, &SatAttackConfig { max_dips }) {
+        "sat" => match sat_attack::run_with_budget(
+            &foundry,
+            hybrid,
+            &SatAttackConfig { max_dips },
+            budget,
+        ) {
             Ok(out) => Response::json(
                 200,
                 Json::obj([
@@ -342,11 +347,15 @@ fn attack(req: &Request, budget: &Budget) -> Response {
                 ])
                 .to_string(),
             ),
+            Err(AttackError::Budget(_)) => {
+                sttlock_obs::counter("serve.deadline_missed", 1);
+                Response::error(504, "deadline exceeded during the SAT attack")
+            }
             Err(e) => Response::error(422, &format!("attack failed: {e}")),
         },
         "seq" => {
             let cfg = SequentialAttackConfig { frames, max_dips };
-            match sat_attack::run_sequential(&foundry, hybrid, &cfg) {
+            match sat_attack::run_sequential_with_budget(&foundry, hybrid, &cfg, budget) {
                 Ok(out) => Response::json(
                     200,
                     Json::obj([
@@ -359,6 +368,10 @@ fn attack(req: &Request, budget: &Budget) -> Response {
                     ])
                     .to_string(),
                 ),
+                Err(AttackError::Budget(_)) => {
+                    sttlock_obs::counter("serve.deadline_missed", 1);
+                    Response::error(504, "deadline exceeded during the SAT attack")
+                }
                 Err(e) => Response::error(422, &format!("attack failed: {e}")),
             }
         }

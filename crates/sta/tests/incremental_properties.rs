@@ -74,37 +74,4 @@ proptest! {
         }
     }
 
-    /// `batch_eval` answers exactly what one-at-a-time probing answers,
-    /// and perturbs nothing: the engine state afterwards is unchanged.
-    #[test]
-    fn batch_eval_matches_sequential_probes(
-        seed in any::<u64>(),
-        picks in prop::collection::vec(any::<u32>(), 1..24usize),
-    ) {
-        let netlist =
-            Profile::custom("batch", 200, 8, 8, 6).generate(&mut StdRng::seed_from_u64(seed));
-        let lib = Library::predictive_90nm();
-        let pool = swap_pool(&netlist);
-        prop_assert!(!pool.is_empty());
-
-        let mut candidates: Vec<NodeId> = picks
-            .iter()
-            .map(|&p| pool[p as usize % pool.len()])
-            .collect();
-        candidates.sort_unstable();
-        candidates.dedup();
-
-        let mut engine = IncrementalSta::new(&netlist, &lib);
-        let before = engine.clock_period_ns();
-        let batch = engine.batch_eval(&candidates);
-        prop_assert_eq!(engine.clock_period_ns().to_bits(), before.to_bits());
-
-        for (&id, &period) in candidates.iter().zip(&batch) {
-            let kind = netlist.node(id).gate_kind().expect("pool gates are cells");
-            engine.swap_to_lut(id);
-            prop_assert_eq!(engine.clock_period_ns().to_bits(), period.to_bits());
-            engine.restore_gate(id, kind);
-        }
-        prop_assert_eq!(engine.clock_period_ns().to_bits(), before.to_bits());
-    }
 }
